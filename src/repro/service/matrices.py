@@ -8,8 +8,9 @@ first-class cache citizens:
 
 * **Budget** — total cached bytes are bounded by a budget taken from the
   ``REPRO_MATRIX_BUDGET_MB`` environment variable (or per-service
-  override); least-recently-used matrices are evicted when an insert
-  would overflow it.  ``None`` means unbudgeted (the PR 3 behaviour).
+  override); least-recently-used matrices are evicted before a compute
+  whose announced size would overflow it, and again on insert.  ``None``
+  means unbudgeted.
 * **Single-flight** — concurrent requests for the same rung block on a
   per-key lock while the first requester computes, so a matrix is
   computed exactly once under contention (the throughput benchmark's
@@ -164,7 +165,8 @@ class MatrixCache:
         return None
 
     def get_or_compute(self, key: Hashable,
-                       compute: Callable[[], np.ndarray]) -> np.ndarray:
+                       compute: Callable[[], np.ndarray],
+                       nbytes: int = 0) -> np.ndarray:
         """Return the cached matrix for *key*, computing it at most once.
 
         A hit refreshes recency and returns the cached array.  On a miss
@@ -175,6 +177,13 @@ class MatrixCache:
         any requester still holds the array without the cache retaining
         it.  The returned array should be treated as read-only shared
         state.
+
+        *nbytes*, the size of the matrix *compute* will return, makes
+        room before the compute: LRU entries are evicted until resident
+        bytes plus *nbytes* fit the budget, so the resident matrices and
+        the one being computed stay within it together.  A matrix larger
+        than the whole budget evicts nothing; the default ``0`` announces
+        nothing.
         """
         with self._lock:
             cached = self._probe(key)
@@ -191,6 +200,8 @@ class MatrixCache:
                 cached = self._probe(key)
                 if cached is not None:
                     return cached
+                if self._budget is not None and nbytes <= self._budget:
+                    self._evict_until(self._budget - nbytes, keep=0)
             matrix = np.asarray(compute())
             with self._lock:
                 self.stats.computes += 1
@@ -223,12 +234,17 @@ class MatrixCache:
         self._ever_cached.add(key)
         if self._budget is not None:
             # The just-inserted key sits at the MRU end and fits the
-            # budget on its own (oversize was filtered above), so the
-            # loop always terminates before evicting it.
-            while self._bytes > self._budget and len(self._entries) > 1:
-                _, victim = self._entries.popitem(last=False)
-                self._bytes -= victim.nbytes
-                self.stats.evictions += 1
+            # budget on its own (oversize was filtered above): keep it.
+            self._evict_until(self._budget, keep=1)
+
+    def _evict_until(self, limit: int, keep: int) -> None:
+        # Caller holds self._lock.  Evict LRU entries until resident bytes
+        # fit *limit*, sparing the *keep* most recent.  A helper, so no
+        # evicted array stays bound to a caller's local during a compute.
+        while self._bytes > limit and len(self._entries) > keep:
+            _, victim = self._entries.popitem(last=False)
+            self._bytes -= victim.nbytes
+            self.stats.evictions += 1
 
     def clear(self) -> None:
         """Drop every cached matrix and key bookkeeping (stats are kept).

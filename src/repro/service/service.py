@@ -1029,10 +1029,14 @@ class DiversityService:
         :meth:`refresh` writes only to the superseded cache under its own
         dead epoch — it can never seed the serving cache with a matrix
         of the superseded index.  Keys open with :attr:`dataset_id`, so
-        a registry-shared cache never aliases two tenants' rungs.
+        a registry-shared cache never aliases two tenants' rungs.  The
+        matrix's size is announced, so the budget makes room before the
+        compute rather than after it.
         """
+        n = len(rung.coreset)
         return matrices.get_or_compute((self.dataset_id, epoch, rung.key),
-                                       rung.coreset.pairwise)
+                                       rung.coreset.pairwise,
+                                       n * n * rung.coreset.dtype.itemsize)
 
     @staticmethod
     def _normalize(query) -> Query:

@@ -128,6 +128,33 @@ class TestMatrixCache:
         cache.get_or_compute("a", lambda: _matrix(1.0))
         assert cache.stats.recomputes == 1
 
+    def test_makes_room_before_the_compute(self):
+        # Eviction must happen before a miss computes, or peak memory is
+        # every resident matrix plus the new one plus kernel scratch.
+        budget = int(2.5 * 2**20)
+        size = _matrix(1.0).nbytes
+        cache = MatrixCache(budget_bytes=budget)
+        resident_on_entry = []
+
+        def compute():
+            resident_on_entry.append(cache.nbytes)
+            return _matrix(1.0)
+
+        for key in ("a", "b", "c", "d"):
+            cache.get_or_compute(key, compute, size)
+        assert len(resident_on_entry) == 4
+        assert all(resident + size <= budget
+                   for resident in resident_on_entry)
+        assert cache.stats.evictions == 2 and len(cache) == 2
+
+    def test_oversize_announcement_evicts_nothing(self):
+        cache = MatrixCache(budget_bytes=int(2.5 * 2**20))
+        cache.get_or_compute("small", lambda: _matrix(1.0))
+        big = _matrix(4.0)
+        cache.get_or_compute("big", lambda: big, big.nbytes)
+        assert cache.stats.evictions == 0
+        assert len(cache) == 1 and cache.contains("small")
+
     def test_oversized_matrix_served_but_never_resident(self):
         cache = MatrixCache(budget_bytes=2**20)
         result = cache.get_or_compute("big", lambda: _matrix(4.0))
@@ -424,3 +451,25 @@ class TestBudgetedService:
         budgeted_peak, budgeted_resident = sweep_peak(budget_mb)
         assert budgeted_resident <= budget_mb * 2**20 < unbudgeted_resident
         assert budgeted_peak < unbudgeted_peak
+
+    def test_service_makes_room_before_each_matrix_compute(self, index,
+                                                          monkeypatch):
+        # The service announces each rung matrix's size, so the budget
+        # holds resident matrices plus the one being computed.
+        largest = max(8 * len(r.coreset) ** 2 for r in index.all_rungs())
+        budget_mb = max(1, int(largest / 2**20) + 1)
+        service = DiversityService(index, matrix_budget_mb=budget_mb)
+        original = PointSet.pairwise
+        charged = []
+
+        def recording_pairwise(points):
+            charged.append(service._matrices.nbytes + 8 * len(points) ** 2)
+            return original(points)
+
+        monkeypatch.setattr(PointSet, "pairwise", recording_pairwise)
+        for objective, k in [("remote-edge", 2), ("remote-clique", 2),
+                             ("remote-edge", 6), ("remote-clique", 6),
+                             ("remote-edge", 12), ("remote-clique", 12)]:
+            service.query(objective, k)
+        assert len(charged) >= 4
+        assert max(charged) <= budget_mb * 2**20
