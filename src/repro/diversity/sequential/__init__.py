@@ -1,12 +1,15 @@
 """Sequential α-approximation algorithms, one per objective (Table 1).
 
 Every solver has the matrix-level signature
-``solve(dist: np.ndarray, k: int) -> np.ndarray`` (selected indices); the
-point-level convenience wrapper :func:`solve_sequential` computes the
-pairwise matrix first.  Core-sets are small, so matrix-level solving is the
-natural final stage of both the streaming and MapReduce pipelines.
+``solve(dist: np.ndarray, k: int, memo=None) -> np.ndarray`` (selected
+indices); the point-level convenience wrapper :func:`solve_sequential`
+computes the pairwise matrix first.  Core-sets are small, so matrix-level
+solving is the natural final stage of both the streaming and MapReduce
+pipelines.  A :class:`SolverMemo` shares one greedy matching and one
+farthest-point order across every ``k`` solved on the same matrix.
 """
 
+from repro.diversity.sequential.memo import SolverMemo
 from repro.diversity.sequential.registry import (
     sequential_solver,
     solve_on_matrix,
@@ -20,6 +23,7 @@ from repro.diversity.sequential.remote_tree import solve_remote_tree
 from repro.diversity.sequential.remote_cycle import solve_remote_cycle
 
 __all__ = [
+    "SolverMemo",
     "sequential_solver",
     "solve_on_matrix",
     "solve_sequential",

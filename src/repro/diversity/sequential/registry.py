@@ -7,6 +7,7 @@ from typing import Callable
 import numpy as np
 
 from repro.diversity.objectives import Objective, get_objective
+from repro.diversity.sequential.memo import SolverMemo
 from repro.diversity.sequential.remote_bipartition import solve_remote_bipartition
 from repro.diversity.sequential.remote_clique import solve_remote_clique
 from repro.diversity.sequential.remote_cycle import solve_remote_cycle
@@ -16,7 +17,7 @@ from repro.diversity.sequential.remote_tree import solve_remote_tree
 from repro.metricspace.points import PointSet
 from repro.utils.validation import as_float_array, check_k_le_n
 
-Solver = Callable[[np.ndarray, int], np.ndarray]
+Solver = Callable[[np.ndarray, int, "SolverMemo | None"], np.ndarray]
 
 _SOLVERS: dict[str, Solver] = {
     "remote-edge": solve_remote_edge,
@@ -33,12 +34,17 @@ def sequential_solver(objective: str | Objective) -> Solver:
     return _SOLVERS[get_objective(objective).name]
 
 
-def solve_on_matrix(dist: np.ndarray, k: int,
-                    objective: str | Objective) -> np.ndarray:
-    """Run the sequential approximation for *objective* on a distance matrix."""
+def solve_on_matrix(dist: np.ndarray, k: int, objective: str | Objective,
+                    memo: SolverMemo | None = None) -> np.ndarray:
+    """Run the sequential approximation for *objective* on a distance matrix.
+
+    *memo*, one :class:`~repro.diversity.sequential.memo.SolverMemo` per
+    matrix, shares the greedy prefixes across every ``k`` and objective
+    solved on *dist*; answers equal a memo-less solve bit for bit.
+    """
     dist = as_float_array(dist)
     k = check_k_le_n(k, dist.shape[0])
-    return sequential_solver(objective)(dist, k)
+    return sequential_solver(objective)(dist, k, memo)
 
 
 def solve_sequential(points: PointSet, k: int,

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.diversity.sequential.memo import SolverMemo
 from repro.diversity.sequential.remote_clique import solve_remote_clique
 
 
-def solve_remote_bipartition(dist: np.ndarray, k: int) -> np.ndarray:
+def solve_remote_bipartition(dist: np.ndarray, k: int,
+                             memo: SolverMemo | None = None) -> np.ndarray:
     """Select ``k`` indices 3-approximating the maximum balanced min-cut."""
-    return solve_remote_clique(dist, k)
+    return solve_remote_clique(dist, k, memo)

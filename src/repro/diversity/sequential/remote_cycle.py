@@ -1,19 +1,19 @@
 """Sequential 3-approximation for remote-cycle.
 
 Halldorsson-Iwano-Katoh-Tokuyama [21] show the farthest-point greedy (GMM)
-selection 3-approximates the maximum-TSP-weight subset.
+selection 3-approximates the maximum-TSP-weight subset.  The selection is
+therefore shared with remote-edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.coresets.gmm import gmm_on_matrix
-from repro.utils.validation import as_float_array
+from repro.diversity.sequential.memo import SolverMemo
+from repro.diversity.sequential.remote_edge import solve_remote_edge
 
 
-def solve_remote_cycle(dist: np.ndarray, k: int) -> np.ndarray:
+def solve_remote_cycle(dist: np.ndarray, k: int,
+                       memo: SolverMemo | None = None) -> np.ndarray:
     """Select ``k`` indices 3-approximating the maximum tour weight."""
-    dist = as_float_array(dist)
-    first = int(dist.sum(axis=1).argmax())
-    return gmm_on_matrix(dist, k, first_index=first)
+    return solve_remote_edge(dist, k, memo)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.diversity.measures import remote_star_value
+from repro.diversity.sequential.memo import SolverMemo
 from repro.diversity.sequential.remote_clique import solve_remote_clique
 from repro.utils.validation import as_float_array
 
@@ -20,11 +21,12 @@ from repro.utils.validation import as_float_array
 _TRIAL_CELLS = 1 << 18
 
 
-def solve_remote_star(dist: np.ndarray, k: int) -> np.ndarray:
+def solve_remote_star(dist: np.ndarray, k: int,
+                      memo: SolverMemo | None = None) -> np.ndarray:
     """Select ``k`` indices 2-approximating the maximum min-star weight."""
     dist = as_float_array(dist)
     n = dist.shape[0]
-    selected = solve_remote_clique(dist, k)
+    selected = solve_remote_clique(dist, k, memo)
     if k >= n or k < 2:
         # Below two points every trial scores 0.0 and none improves.
         return selected

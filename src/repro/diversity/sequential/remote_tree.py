@@ -3,18 +3,18 @@
 Halldorsson-Iwano-Katoh-Tokuyama [21] show the farthest-point greedy (GMM)
 4-approximates the maximum-MST-weight subset: the greedy's anticover radii
 lower-bound the MST weight of any k-subset within constant factors.
+The selection is therefore shared with remote-edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.coresets.gmm import gmm_on_matrix
-from repro.utils.validation import as_float_array
+from repro.diversity.sequential.memo import SolverMemo
+from repro.diversity.sequential.remote_edge import solve_remote_edge
 
 
-def solve_remote_tree(dist: np.ndarray, k: int) -> np.ndarray:
+def solve_remote_tree(dist: np.ndarray, k: int,
+                      memo: SolverMemo | None = None) -> np.ndarray:
     """Select ``k`` indices 4-approximating the maximum MST weight."""
-    dist = as_float_array(dist)
-    first = int(dist.sum(axis=1).argmax())
-    return gmm_on_matrix(dist, k, first_index=first)
+    return solve_remote_edge(dist, k, memo)

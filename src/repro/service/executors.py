@@ -19,7 +19,9 @@ never build core-sets, and per-rung matrices are computed exactly once:
   attach by descriptor, fill each matrix exactly once under a striped
   cross-process lock (:func:`repro.shm.fill_once`) and reply with
   index-based answers — point rows never cross the IPC pipe in either
-  direction.
+  direction.  Each task also carries the rung's known solver-memo
+  prefixes and returns any it extended; the driver keeps the longer, so
+  workers hold no memo state.
 
 Epoch semantics: the process executor keeps one :class:`_EpochPlane` of
 published core-sets per ``(dataset, epoch)`` and **one**
@@ -52,6 +54,7 @@ import numpy as np
 
 from repro import shm
 from repro.diversity.objectives import get_objective
+from repro.diversity.sequential.memo import SolverMemo
 from repro.diversity.sequential.registry import solve_on_matrix
 from repro.exceptions import ValidationError
 from repro.metricspace.distance import Metric
@@ -92,16 +95,18 @@ def _warm_worker(seconds: float) -> int:
 
 def _solve_query(coreset_ref: shm.SharedArrayRef,
                  matrix_ref: shm.SharedArrayRef, stripe: int,
-                 metric: Metric, objective_name: str,
-                 k: int) -> tuple[np.ndarray, float, float, bool]:
+                 metric: Metric, objective_name: str, k: int,
+                 k_cap: int, pairs: tuple, order: tuple) -> tuple:
     """Solve one routed query against the shared data plane (worker side).
 
     Attaches the rung's core-set rows and matrix segment by descriptor;
     the first caller per segment fills the matrix under its stripe lock
     (identical bytes to the driver's own ``pairwise`` — same rows, same
-    blocked kernel, same tile sizing), everyone else reads it.  Returns
-    ``(indices, value, solve_seconds, computed_matrix)`` — indices into
-    the rung core-set, never point rows.
+    blocked kernel, same tile sizing), everyone else reads it.  The solve
+    starts from the driver's memo prefixes *pairs* and *order*.  Returns
+    ``(indices, value, solve_seconds, computed_matrix, pairs, order)`` —
+    indices into the rung core-set, never point rows, and the memo
+    prefixes this solve extended (empty when it only sliced).
     """
     rows = coreset_ref.resolve()
 
@@ -111,11 +116,14 @@ def _solve_query(coreset_ref: shm.SharedArrayRef,
 
     dist, computed = shm.fill_once(matrix_ref, _WORKER_LOCKS[stripe], compute)
     objective = get_objective(objective_name)
+    memo = SolverMemo(k_cap, pairs=pairs, order=order)
     started = time.perf_counter()
-    indices = solve_on_matrix(dist, k, objective)
+    indices = solve_on_matrix(dist, k, objective, memo=memo)
     value = float(objective.value(dist[np.ix_(indices, indices)]))
     return (np.asarray(indices, dtype=np.intp), value,
-            time.perf_counter() - started, computed)
+            time.perf_counter() - started, computed,
+            memo.pairs if len(memo.pairs) > len(pairs) else (),
+            memo.order if len(memo.order) > len(order) else ())
 
 
 # -- driver side ---------------------------------------------------------------
@@ -406,7 +414,9 @@ class ProcessExecutor:
         probes (in-batch repeats defer theirs until after the solve),
         one dispatched solve per distinct cache key, results memoized in
         the driver's LRU — so answers, ``cached`` flags and cache stats
-        are all identical to ``query_batch`` on the same state.
+        are all identical to ``query_batch`` on the same state.  Tasks
+        carry their rung's memo prefixes as the batch starts; prefixes a
+        worker extended are merged back into the driver's memo.
         """
         from repro.service.service import QueryResult  # lazy: avoids a cycle
 
@@ -418,6 +428,7 @@ class ProcessExecutor:
         # concurrently.
         matrices = self._matrices
         leases: dict[tuple, tuple[shm.SharedArrayRef, MatrixLease]] = {}
+        memos: dict[tuple, SolverMemo] = {}
         try:
             results, groups = service._probe_batch(snapshot, normalized,
                                                    rungs, reuse)
@@ -436,13 +447,18 @@ class ProcessExecutor:
                 coreset_ref, lease = pair
                 stripe = hash(lease.ref.name) % self._stripes
                 query = members[0][1]
+                memo = memos.setdefault(rung.key,
+                                        service._memo_for(epoch, rung))
                 futures[cache_key] = pool.submit(
                     _solve_query, coreset_ref, lease.ref, stripe,
-                    rung.coreset.metric, query.objective, query.k)
+                    rung.coreset.metric, query.objective, query.k,
+                    rung.k_cap, memo.pairs, memo.order)
             for cache_key, (rung, members) in groups.items():
-                indices, value, seconds, computed = futures[cache_key].result()
+                (indices, value, seconds, computed, pairs,
+                 order) = futures[cache_key].result()
                 if computed:
                     matrices.note_computed((dataset_id, epoch) + rung.key)
+                memos[rung.key].merge(pairs, order)
                 first_query = members[0][1]
                 result = QueryResult(
                     objective=first_query.objective, k=first_query.k,

@@ -22,7 +22,10 @@ from cached read-only state:
    in the calling thread, on a thread pool, or on worker *processes* over
    a shared-memory data plane, depending on the pluggable execution
    backend (:mod:`repro.service.executors`).  All three backends return
-   bit-identical answers.
+   bit-identical answers.  Per epoch and rung, one
+   :class:`~repro.diversity.sequential.memo.SolverMemo` holds the greedy
+   matching and the farthest-point order, so every objective and ``k``
+   on that rung slices one shared prefix instead of rerunning the greedy.
 
 Result-cache lookups are **epsilon-aware**: a cached answer solved on a
 *larger* covering rung (i.e. for a tighter ``eps``) is valid for any
@@ -60,6 +63,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from repro.diversity.objectives import Objective, get_objective
+from repro.diversity.sequential.memo import SolverMemo
 from repro.diversity.sequential.registry import solve_on_matrix
 from repro.exceptions import ValidationError
 from repro.metricspace.points import PointSet
@@ -173,10 +177,12 @@ class QueryResult:
     those rows (views into cached state — treat as read-only).  ``cached``
     marks answers served from the LRU without running a solver;
     ``eps_hit`` marks the subset of those served from a cached
-    *tighter-epsilon* answer (epsilon-aware reuse).  ``epoch`` records the
-    index epoch the answer was solved on — every result of one batch
-    carries the same epoch (the mixed-epoch safety contract of
-    :meth:`DiversityService.refresh`).
+    *tighter-epsilon* answer (epsilon-aware reuse).  ``solve_seconds``
+    times the solver run; the first miss on a rung also carries the fill
+    of the rung's shared greedy prefixes, which later misses only slice.
+    ``epoch`` records the index epoch the answer was solved on — every
+    result of one batch carries the same epoch (the mixed-epoch safety
+    contract of :meth:`DiversityService.refresh`).
 
     Like :class:`Query`, this is the canonical response schema:
     :meth:`to_dict` / :meth:`from_dict` round-trip every field through
@@ -424,6 +430,8 @@ class DiversityService:
         self.routing_decisions = 0
         self.refreshes = 0
         self._epoch = 0
+        #: Solver memos of the current epoch, keyed ``(epoch, rung key)``.
+        self._memos: dict[tuple, SolverMemo] = {}
         self._build_lock = threading.Lock()
         self._refresh_lock = threading.Lock()
         self._counter_lock = threading.Lock()
@@ -490,11 +498,11 @@ class DiversityService:
         Streams the new data through the batched SMM path per rung
         (:meth:`CoresetIndex.extend <repro.service.index.CoresetIndex.extend>`),
         then atomically swaps the extended index in: the epoch embedded in
-        every cache key is bumped and both the result cache and the matrix
-        cache are replaced with empty successors, so queries in flight
-        during the swap can neither poison the new epoch's caches nor
-        evict its entries.  Queries keep being served (from the old
-        index) while the extension is computed.
+        every cache key is bumped and the result cache, the matrix cache
+        and the solver memos are replaced with empty successors, so
+        queries in flight during the swap can neither poison the new
+        epoch's caches nor evict its entries.  Queries keep being served
+        (from the old index) while the extension is computed.
 
         Returns the new index.  :attr:`build_calls` is not affected —
         refreshes are counted separately in :attr:`refreshes`.
@@ -516,6 +524,7 @@ class DiversityService:
                 self.refreshes += 1
                 epoch = self._epoch
                 self.cache = self.cache.successor()
+                self._memos = {}
                 if self._owns_matrices:
                     self._matrices = self._matrices.successor()
             if not self._owns_matrices:
@@ -954,12 +963,31 @@ class DiversityService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _memo_for(self, epoch: int, rung: LadderRung) -> SolverMemo:
+        """The solver memo of *rung* on *epoch*.
+
+        Only the current epoch's memos are kept, and :meth:`refresh`
+        replaces them all; a query still running on a superseded epoch
+        gets a private memo, so it reads and fills only its own epoch's
+        prefixes.  A memo holds indices, not the matrix, so it stays
+        valid when the matrix is evicted and recomputed.
+        """
+        key = (epoch, rung.key)
+        with self._counter_lock:
+            memo = self._memos.get(key)
+            if memo is None:
+                memo = SolverMemo(rung.k_cap)
+                if epoch == self._epoch:
+                    self._memos[key] = memo
+            return memo
+
     def _solve(self, query: Query, rung: LadderRung,
                dist: np.ndarray, epoch: int = 0) -> QueryResult:
         """Run the sequential solver for *query* on the rung's matrix."""
         objective = get_objective(query.objective)
+        memo = self._memo_for(epoch, rung)
         started = time.perf_counter()
-        indices = solve_on_matrix(dist, query.k, objective)
+        indices = solve_on_matrix(dist, query.k, objective, memo=memo)
         value = objective.value(dist[np.ix_(indices, indices)])
         result = QueryResult(
             objective=objective.name, k=query.k, epsilon=query.epsilon,
@@ -981,7 +1009,8 @@ class DiversityService:
         ``verify_rtol``, and pick the same indices unless the difference
         is a tie (the fast-path selection's float64 value also lands
         within ``verify_rtol``).  Outcomes feed the ``verify`` counters
-        in :meth:`stats`.
+        in :meth:`stats`.  The shadow solves without the rung's memo,
+        whose prefixes belong to the reduced-dtype matrix.
         """
         if not self._verify_enabled or self._verify_fraction <= 0.0:
             return
