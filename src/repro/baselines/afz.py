@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from repro.diversity.local_search import local_search_remote_clique
 from repro.diversity.objectives import Objective, get_objective
 from repro.diversity.sequential.registry import solve_sequential

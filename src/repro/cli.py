@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro ...``.
 
-Eleven subcommands cover the common workflows without writing any code:
+Nine subcommands cover the common workflows without writing any code:
 
 * ``generate`` — synthesize a dataset (sphere-shell, cube, clusters,
   bag-of-words) and save it via :mod:`repro.datasets.loaders`;
@@ -12,13 +12,7 @@ Eleven subcommands cover the common workflows without writing any code:
 * ``index`` — ingest a dataset once into a build-once/serve-many core-set
   index (a ladder of resolutions per objective family) and persist it;
 * ``query`` — answer ``(objective, k, eps)`` requests from a saved index,
-  never touching the original dataset (``--plan auto`` lets the
-  cost-model planner pick the executor per batch, answers unchanged);
-* ``calibrate`` — measure this machine's kernel/solve/dispatch costs
-  once into the profile (``.repro_profile.json`` format v3) so the
-  query planner predicts with fitted numbers instead of defaults;
-* ``plan`` — explain the plan a query would run under ``--plan auto``:
-  chosen rung, matrix strategy, and every executor's predicted cost;
+  never touching the original dataset;
 * ``refresh`` — absorb new data into a saved index incrementally (batched
   SMM per rung + composable re-merge), no MapReduce rebuild;
 * ``registry`` — manage a multi-tenant registry directory
@@ -53,10 +47,6 @@ Examples
     python -m repro estimate --data /tmp/data --k 16 --epsilon 0.5
     python -m repro index --data /tmp/data --k-max 32 --out /tmp/idx
     python -m repro query --index /tmp/idx --objective remote-clique --k 8
-    python -m repro calibrate --executors serial,thread
-    python -m repro plan --index /tmp/idx --objective remote-clique --k 8
-    python -m repro query --index /tmp/idx --objective remote-clique --k 8 \
-        --plan auto
     python -m repro refresh --index /tmp/idx --data /tmp/more_data
     python -m repro registry add --dir /tmp/fleet --id eu --index /tmp/idx
     python -m repro serve --index /tmp/idx --port 7077
@@ -215,46 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     qry.add_argument("--dtype", choices=("float64", "float32"), default=None,
                      help="cast the loaded index to this dtype before "
                           "serving (default: keep its stored dtype)")
-    qry.add_argument("--plan", choices=("static", "auto"), default="static",
-                     help="query planning: 'static' is today's fixed "
-                          "routing/executor policy; 'auto' picks the "
-                          "cheapest executor and matrix strategy per "
-                          "batch from the calibrated cost model (run "
-                          "'repro calibrate' first; answers identical)")
-
-    cal = sub.add_parser(
-        "calibrate",
-        help="measure kernel/solve/dispatch costs into the planner profile")
-    cal.add_argument("--sizes", default="96,256",
-                     help="comma-separated synthetic core-set sizes the "
-                          "matrix/solve measurements run on")
-    cal.add_argument("--executors", default="serial,thread,process",
-                     help="comma-separated executors to fit dispatch "
-                          "overhead and parallel solve scale for")
-    cal.add_argument("--repeats", type=int, default=2,
-                     help="timing repeats per measurement (best-of)")
-    cal.add_argument("--seed", type=int, default=0)
-    cal.add_argument("--profile", default=None,
-                     help="profile path to write (default: "
-                          "$REPRO_PROFILE_PATH, else ./.repro_profile.json;"
-                          " kernel-tuning entries already there survive)")
-
-    pln = sub.add_parser(
-        "plan",
-        help="explain the plan a query would run under --plan auto")
-    pln.add_argument("--index", required=True,
-                     help="index path written by 'index'")
-    pln.add_argument("--objective", choices=list_objectives(),
-                     default="remote-edge")
-    pln.add_argument("--k", type=int, required=True)
-    pln.add_argument("--epsilon", type=float, default=1.0)
-    pln.add_argument("--batch", type=int, default=1,
-                     help="plan a batch of this many queries, k stepping "
-                          "down from --k (executor choice shifts as "
-                          "solve work grows)")
-    pln.add_argument("--dtype", choices=("float64", "float32"), default=None,
-                     help="cast the loaded index to this dtype first")
-
     rfr = sub.add_parser(
         "refresh",
         help="absorb new data into a saved index without a rebuild")
@@ -384,12 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     dmn.add_argument("--dtype", choices=("float64", "float32"), default=None,
                      help="cast the loaded index to this dtype before "
                           "serving (default: keep its stored dtype)")
-    dmn.add_argument("--plan", choices=("static", "auto"), default="static",
-                     help="query planning for dispatched batches: 'auto' "
-                          "groups micro-batches by their predicted-"
-                          "cheapest plan and executes accordingly "
-                          "(answers identical; run 'repro calibrate' "
-                          "first)")
 
     srv = sub.add_parser(
         "serve-bench",
@@ -561,7 +505,7 @@ def _index(args: argparse.Namespace) -> int:
 def _query(args: argparse.Namespace) -> int:
     service = DiversityService.from_file(
         args.index, matrix_budget_mb=args.matrix_budget_mb,
-        dtype=args.dtype, plan=args.plan)
+        dtype=args.dtype)
     for _ in range(max(args.repeat, 1)):
         result = service.query(args.objective, args.k, epsilon=args.epsilon)
         family, k_cap, k_prime = result.rung
@@ -582,67 +526,6 @@ def _query(args: argparse.Namespace) -> int:
               f"{matrices['budget_bytes'] / 2**20:.0f} MiB budget), "
               f"{matrices['evictions']} evictions, "
               f"{matrices['recomputes']} recomputes")
-    if args.plan == "auto":
-        planner = stats["planner"]
-        plans = ", ".join(f"{name} x{count}"
-                          for name, count in planner["plans"].items()
-                          if count)
-        error = planner["mean_rel_error"]
-        print(f"  planner: {planner['planned']} planned batches "
-              f"[{plans or 'none'}], model "
-              f"{'calibrated' if planner['calibrated'] else 'defaults'}, "
-              f"mean rel error "
-              f"{'n/a' if error is None else f'{error:.2f}'}")
-    return 0
-
-
-def _calibrate(args: argparse.Namespace) -> int:
-    from repro.service import EXECUTOR_NAMES, run_calibration
-    from repro.tuning import save_calibration
-
-    executors = tuple(name.strip() for name in args.executors.split(",")
-                      if name.strip())
-    for name in executors:
-        if name not in EXECUTOR_NAMES:
-            print(f"unknown executor {name!r}; "
-                  f"known: {', '.join(EXECUTOR_NAMES)}", file=sys.stderr)
-            return 2
-    sizes = tuple(int(size) for size in args.sizes.split(",") if size.strip())
-    payload = run_calibration(sizes=sizes, executors=executors,
-                              repeats=args.repeats, seed=args.seed)
-    path = save_calibration(payload, args.profile)
-    print(f"calibrated on core-set sizes {list(sizes)} "
-          f"(best of {args.repeats}):")
-    for dtype, rate in sorted(payload["matrix_seconds_per_cell"].items()):
-        print(f"  matrix  {dtype:8s} {rate * 1e9:8.3f} ns/cell")
-    for objective, rate in sorted(payload["solve_seconds_per_cell"].items()):
-        print(f"  solve   {objective:18s} {rate * 1e9:8.1f} ns/(k*n) cell")
-    for name in executors:
-        dispatch = payload["dispatch_seconds"].get(name, 0.0)
-        scale = payload["solve_scale"].get(name, 1.0)
-        print(f"  executor {name:8s} dispatch {dispatch * 1e3:7.3f} ms, "
-              f"solve scale {scale:.2f}")
-    print(f"wrote planner calibration into {path} (profile format v3)")
-    return 0
-
-
-def _plan(args: argparse.Namespace) -> int:
-    from repro.service import Query, explain_plan
-
-    service = DiversityService.from_file(args.index, dtype=args.dtype,
-                                         plan="auto")
-    # Distinct k per batch slot: identical repeats would be solved (and
-    # priced) once, which hides how the plan shifts with solve work.
-    queries = [Query(args.objective, max(args.k - i, 2), args.epsilon)
-               for i in range(max(args.batch, 1))]
-    rung = service.index.route(args.objective, args.k, args.epsilon)
-    print(f"query: {args.objective} k={args.k} eps={args.epsilon} "
-          f"(batch {len(queries)}; index dtype {service.index.dtype})")
-    print(f"routed rung: {rung.family} k<={rung.k_cap} k'={rung.k_prime} "
-          f"({len(rung.coreset)} core-set points; static routing — the "
-          "planner never changes the rung)")
-    plan = service.preview_plan(queries)
-    print(explain_plan(plan, service._planner.model))
     return 0
 
 
@@ -817,14 +700,14 @@ def _serve(args: argparse.Namespace) -> int:
             IndexRegistry.from_directory(
                 args.registry, max_resident=args.max_resident,
                 matrix_budget_mb=args.matrix_budget_mb,
-                executor=args.executor, plan=args.plan)
+                executor=args.executor)
         source = f"{args.registry} ({len(service.list())} tenants"
         source += ", qos)" if args.qos else ")"
     else:
         service = DiversityService(
             load_index(args.index, dtype=args.dtype),
             matrix_budget_mb=args.matrix_budget_mb,
-            executor=args.executor, plan=args.plan)
+            executor=args.executor)
         source = args.index
     server = DiversityServer(service, ServerConfig(
         host=args.host, port=args.port,
@@ -941,8 +824,6 @@ _COMMANDS = {
     "estimate": _estimate,
     "index": _index,
     "query": _query,
-    "calibrate": _calibrate,
-    "plan": _plan,
     "refresh": _refresh,
     "registry": _registry,
     "serve": _serve,

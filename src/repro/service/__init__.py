@@ -37,13 +37,6 @@ from repro.service.matrices import (
     matrix_budget_from_env,
 )
 from repro.service.persist import INDEX_FORMAT_VERSION, load_index, save_index
-from repro.service.planner import (
-    CostModel,
-    Plan,
-    QueryPlanner,
-    explain_plan,
-    run_calibration,
-)
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -108,11 +101,6 @@ __all__ = [
     "INDEX_FORMAT_VERSION",
     "load_index",
     "save_index",
-    "CostModel",
-    "Plan",
-    "QueryPlanner",
-    "explain_plan",
-    "run_calibration",
     "QosRejection",
     "TenantQuota",
     "TokenBucket",

@@ -48,6 +48,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -273,7 +274,8 @@ class ProcessExecutor:
     accounting stays with the driver's tracker (see :mod:`repro.shm`).
     The pool persists across batches; it is (re)created lazily for the
     requested worker count and shut down by :meth:`close` or a GC
-    finalizer.
+    finalizer.  A pool broken by a dead worker is replaced, and the
+    batch that saw it break is resubmitted once (see :meth:`_map`).
     """
 
     name = "process"
@@ -333,6 +335,34 @@ class ProcessExecutor:
             self._pool = None
             self._pool_workers = 0
 
+    def _map(self, max_workers: int, fn, calls: list[tuple]) -> list:
+        """``fn(*args)`` for every entry of *calls* on the pool, in order.
+
+        A dead worker breaks the pool.  The broken pool is then dropped,
+        unless a concurrent batch already replaced it, and so are the
+        stripe locks: a worker killed inside :func:`repro.shm.fill_once`
+        may have died holding one.  Its half-filled segment still has
+        its ready flag unset, so the next worker to fill it starts over.
+        Every call is then resubmitted once on a fresh pool; solves are
+        deterministic, so the retry returns the same answers.  A second
+        break propagates.
+        """
+        retried = False
+        while True:
+            pool = self._ensure_pool(max_workers)
+            try:
+                futures = [pool.submit(fn, *args) for args in calls]
+                return [future.result() for future in futures]
+            except BrokenProcessPool:
+                with self._lock:
+                    if self._pool is pool:
+                        self._drop_pool()
+                        self._locks = [self._ctx.Lock()
+                                       for _ in range(self._stripes)]
+                if retried:
+                    raise
+                retried = True
+
     def warm(self, max_workers: int) -> None:
         """Spawn (and wait for) all *max_workers* workers up front.
 
@@ -341,10 +371,7 @@ class ProcessExecutor:
         before the timed region so measured queries/sec reflect serving,
         not cold starts.
         """
-        pool = self._ensure_pool(max_workers)
-        futures = [pool.submit(_warm_worker, 0.2) for _ in range(max_workers)]
-        for future in futures:
-            future.result()
+        self._map(max_workers, _warm_worker, [(0.2,)] * max_workers)
 
     # -- plane lifecycle ---------------------------------------------------------
     def _plane_for(self, epoch: int, dataset_id: str = "") -> _EpochPlane:
@@ -417,6 +444,10 @@ class ProcessExecutor:
         are all identical to ``query_batch`` on the same state.  Tasks
         carry their rung's memo prefixes as the batch starts; prefixes a
         worker extended are merged back into the driver's memo.
+
+        Every reply is collected before any result is memoized, so a
+        batch resubmitted after a worker death probes and counts each
+        query once.
         """
         from repro.service.service import QueryResult  # lazy: avoids a cycle
 
@@ -432,9 +463,8 @@ class ProcessExecutor:
         try:
             results, groups = service._probe_batch(snapshot, normalized,
                                                    rungs, reuse)
-            pool = self._ensure_pool(max_workers)
-            futures = {}
-            for cache_key, (rung, members) in groups.items():
+            calls = []
+            for rung, members in groups.values():
                 pair = leases.get(rung.key)
                 if pair is None:
                     coreset_ref = plane.coreset_ref(rung)
@@ -449,13 +479,13 @@ class ProcessExecutor:
                 query = members[0][1]
                 memo = memos.setdefault(rung.key,
                                         service._memo_for(epoch, rung))
-                futures[cache_key] = pool.submit(
-                    _solve_query, coreset_ref, lease.ref, stripe,
-                    rung.coreset.metric, query.objective, query.k,
-                    rung.k_cap, memo.pairs, memo.order)
-            for cache_key, (rung, members) in groups.items():
-                (indices, value, seconds, computed, pairs,
-                 order) = futures[cache_key].result()
+                calls.append((coreset_ref, lease.ref, stripe,
+                              rung.coreset.metric, query.objective, query.k,
+                              rung.k_cap, memo.pairs, memo.order))
+            replies = self._map(max_workers, _solve_query, calls)
+            for (cache_key, (rung, members)), reply in zip(groups.items(),
+                                                            replies):
+                indices, value, seconds, computed, pairs, order = reply
                 if computed:
                     matrices.note_computed((dataset_id, epoch) + rung.key)
                 memos[rung.key].merge(pairs, order)

@@ -317,9 +317,8 @@ class MatrixCache:
     def contains(self, key: Hashable) -> bool:
         """Non-mutating residency probe: no stats, no recency refresh.
 
-        The query planner uses this to price a rung's matrix at zero
-        when it is already resident — a cost estimate must not promote
-        entries or distort the hit/miss accounting of :meth:`get_or_compute`.
+        A probe must not promote entries or distort the hit/miss
+        accounting of :meth:`get_or_compute`.
         """
         with self._lock:
             return key in self._entries

@@ -168,14 +168,6 @@ class IndexRegistry:
     executor, executor_workers:
         Default execution backend and fan-out for every tenant, served
         from one :class:`~repro.service.executors.ExecutorPool`.
-    plan:
-        Query-planning mode for every tenant service — ``"static"``
-        (default, today's fixed policy) or ``"auto"`` (cost-model
-        planning; see :class:`~repro.service.service.DiversityService`).
-        All tenants share **one**
-        :class:`~repro.service.planner.QueryPlanner`, so per-tenant
-        plans are priced under the shared matrix budget and every
-        tenant's measured timings refine the same model.
     spill_dir:
         Directory where tenants registered from in-memory indexes are
         persisted on first eviction (and by :meth:`save_manifest`).
@@ -201,26 +193,11 @@ class IndexRegistry:
                  matrix_budget_mb: int | None = None,
                  cache_size: int = 128, cache_stripes: int = 8,
                  executor: str = "serial", executor_workers: int = 4,
-                 plan: str = "static",
                  spill_dir: str | Path | None = None):
         if executor not in EXECUTOR_NAMES:
             raise ValidationError(
                 f"unknown executor {executor!r}; "
                 f"known: {', '.join(EXECUTOR_NAMES)}")
-        if plan not in ("static", "auto"):
-            raise ValidationError(
-                f"unknown plan mode {plan!r}; known: static, auto")
-        self.plan_mode = plan
-        if plan == "auto":
-            from repro.service.planner import CostModel, QueryPlanner
-            from repro.tuning import load_calibration
-
-            #: One planner for the fleet: every tenant's batches refine
-            #: the same cost model, priced under the shared budget.
-            self._planner = QueryPlanner(
-                CostModel.from_payload(load_calibration()))
-        else:
-            self._planner = None
         if max_resident is None:
             max_resident = _max_resident_from_env()
         self.max_resident = (None if max_resident is None
@@ -469,22 +446,6 @@ class IndexRegistry:
             self._tenant(dataset_id)
         return dataset_id
 
-    def peek_service(self, dataset_id: str | None) -> DiversityService | None:
-        """The tenant's resident service, or ``None`` — never faults in.
-
-        The daemon's plan-aware micro-batch grouping uses this: a
-        dispatch-group key must not trigger a cold tenant's index load
-        on the event loop, so cold (or unknown) tenants simply fall back
-        to dataset-only grouping.
-        """
-        try:
-            dataset_id = self._resolve(dataset_id)
-        except ValidationError:
-            return None
-        with self._lock:
-            tenant = self._tenants.get(dataset_id)
-            return None if tenant is None else tenant.service
-
     def set_quota(self, dataset_id: str | None, quota: TenantQuota) -> None:
         """Replace one tenant's admission-control quota.
 
@@ -528,7 +489,6 @@ class IndexRegistry:
             cache_stripes=self._cache_stripes,
             executor=self.default_executor,
             executor_workers=self.executor_workers,
-            plan=self.plan_mode, planner=self._planner,
             matrices=self._matrices, executor_pool=self._pool)
 
     def _fault_in(self, tenant: _Tenant) -> None:

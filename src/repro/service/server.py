@@ -485,46 +485,26 @@ class DiversityServer:
             return self.registry.query_batch(queries, dataset)
         return self.service.query_batch(queries)
 
-    def _plan_signature(self, work: "_Work") -> tuple | None:
-        """The batching class of one request's chosen plan.
-
-        ``None`` everywhere static mode (or a cold tenant, or any
-        planning hiccup) applies — grouping then degrades to exactly the
-        dataset-only key of before.  In ``auto`` mode requests predicted
-        to run on different executors dispatch as separate
-        ``query_batch`` calls, so a plan chosen for one request is never
-        diluted by batch-mates with different cost shapes.
-        """
-        if self.registry is not None:
-            service = self.registry.peek_service(work.request.dataset)
-        else:
-            service = self.service
-        if service is None:
-            return None
-        return service.plan_signature(work.request.queries)
-
     async def _dispatch(self, batch: list[_Work]) -> None:
         """Run one coalesced batch on the query slot and split results.
 
-        Requests are grouped by ``(dataset, plan signature)`` — on a
-        single-index static-mode daemon that is one group, the whole
-        batch — and each group's queries are concatenated into a single
-        ``query_batch`` call (results come back in input order, so the
-        per-request slices are exact); each request's future is resolved
-        with its slice and its server-observed latency is sampled.  A
-        service-side exception fails that group's requests —
-        ``unknown_dataset`` when a tenant was detached between admission
-        and dispatch, ``internal`` otherwise — without killing the
-        collector or the other groups.
+        Requests are grouped by dataset — on a single-index daemon that
+        is one group, the whole batch — and each group's queries are
+        concatenated into a single ``query_batch`` call (results come
+        back in input order, so the per-request slices are exact); each
+        request's future is resolved with its slice and its
+        server-observed latency is sampled.  A service-side exception
+        fails that group's requests — ``unknown_dataset`` when a tenant
+        was detached between admission and dispatch, ``internal``
+        otherwise — without killing the collector or the other groups.
         """
         loop = asyncio.get_running_loop()
         if len(batch) > 1:
             self.stats_counters.batched_requests += len(batch)
-        groups: dict[tuple, list[_Work]] = {}
+        groups: dict[str | None, list[_Work]] = {}
         for work in batch:
-            key = (work.request.dataset, self._plan_signature(work))
-            groups.setdefault(key, []).append(work)
-        for (dataset, _signature), members in groups.items():
+            groups.setdefault(work.request.dataset, []).append(work)
+        for dataset, members in groups.items():
             queries = [query for work in members
                        for query in work.request.queries]
             self.stats_counters.batches_dispatched += 1

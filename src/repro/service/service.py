@@ -76,7 +76,6 @@ from repro.service.index import (
 )
 from repro.service.matrices import MatrixCache
 from repro.service.persist import load_index, save_index
-from repro.service.planner import CostModel, Plan, QueryPlanner
 from repro.utils.validation import check_in_range, check_positive_int
 
 
@@ -260,7 +259,9 @@ class DiversityService:
         Dataset and parameters for a lazy build; *build_options* are
         forwarded to :func:`repro.service.index.build_coreset_index`
         (``families``, ``multiplier``, ``parallelism``, ``executor``,
-        ``seed``, ...).
+        ``seed``, ...).  A prebuilt *index* takes no build options:
+        passing any raises :class:`~repro.exceptions.ValidationError`
+        rather than ignoring them.
     cache_size:
         Capacity of the LRU result cache.
     cache_stripes:
@@ -295,21 +296,10 @@ class DiversityService:
         defers to the environment (``REPRO_VERIFY_DTYPE=1``,
         ``REPRO_VERIFY_FRACTION``, ``REPRO_VERIFY_RTOL``).  No-op on
         float64 indexes.
-    plan, planner:
-        Query-planning mode.  ``"static"`` (default) keeps today's fixed
-        policy: rung from the epsilon sizing, executor from
-        *executor*/the call site, matrices computed on demand.
-        ``"auto"`` lets a :class:`~repro.service.planner.QueryPlanner`
-        pick the cheapest executor and matrix strategy per batch from a
-        fitted :class:`~repro.service.planner.CostModel` (loaded from
-        the machine profile's calibration block; refined online from
-        measured batch times).  The solved rung is always the statically
-        routed one and every backend is bit-identical, so ``auto``
-        answers match ``static`` exactly — only wall time changes.  An
-        explicit ``executor=`` on a call always wins over the planner.
-        *planner* injects a (possibly shared) planner instance — a
-        registry passes one so all tenants refine one model; tests pass
-        one with a synthetic cost table for deterministic plans.
+    plan:
+        Kept for callers that pass ``plan="static"``; any other value
+        raises :class:`~repro.exceptions.ValidationError`.  The backend
+        always comes from *executor* or the call site.
     dataset_id, matrices, executor_pool:
         Multi-tenant wiring used by
         :class:`~repro.service.registry.IndexRegistry`: *dataset_id*
@@ -344,7 +334,6 @@ class DiversityService:
                  verify_fraction: float | None = None,
                  verify_rtol: float | None = None,
                  plan: str = "static",
-                 planner: QueryPlanner | None = None,
                  dataset_id: str = "",
                  matrices: MatrixCache | None = None,
                  executor_pool=None,
@@ -357,21 +346,14 @@ class DiversityService:
             raise ValidationError(
                 f"unknown executor {executor!r}; "
                 f"known: {', '.join(EXECUTOR_NAMES)}")
-        if plan not in ("static", "auto"):
+        if plan != "static":
             raise ValidationError(
-                f"unknown plan mode {plan!r}; known: static, auto")
-        self.plan_mode = plan
-        if planner is not None:
-            self._planner = planner
-        elif plan == "auto":
-            # Only the auto path pays the profile read; static services
-            # keep an idle default planner so stats() stays fixed-shape.
-            from repro.tuning import load_calibration
-
-            self._planner = QueryPlanner(
-                CostModel.from_payload(load_calibration()))
-        else:
-            self._planner = QueryPlanner()
+                f"unknown plan mode {plan!r}; the only one is 'static' — "
+                "choose the backend with executor=")
+        if index is not None and build_options:
+            raise ValidationError(
+                "a prebuilt index takes no build options; unknown or "
+                f"ignored: {', '.join(sorted(build_options))}")
         self._index = index
         self._points = points
         self._k_max = (None if k_max is None
@@ -451,17 +433,15 @@ class DiversityService:
     @classmethod
     def from_file(cls, path: str | Path, *, cache_size: int = 128,
                   matrix_budget_mb: int | None = None,
-                  dtype: str | None = None,
-                  plan: str = "static") -> "DiversityService":
+                  dtype: str | None = None) -> "DiversityService":
         """Warm-start from an index persisted by :meth:`save` — no build.
 
         *dtype* casts the loaded index (e.g. ``"float32"`` to serve an
         existing float64 index on the fast path); ``None`` serves it in
-        its stored dtype.  *plan* selects the query-planning mode (see
-        the constructor).
+        its stored dtype.
         """
         return cls(load_index(path, dtype=dtype), cache_size=cache_size,
-                   matrix_budget_mb=matrix_budget_mb, plan=plan)
+                   matrix_budget_mb=matrix_budget_mb)
 
     @property
     def index(self) -> CoresetIndex | None:
@@ -579,10 +559,6 @@ class DiversityService:
         the shared-memory data plane with identical answers).  Results
         come back in input order; exact repeats — within the batch or
         across calls — are served from the LRU.
-
-        With ``plan="auto"`` and no explicit *executor*, the query
-        planner picks the backend the cost model predicts cheapest for
-        this batch; answers are identical either way.
         """
         return self._execute(queries, executor, self.executor_workers,
                              concurrent=False)
@@ -613,7 +589,7 @@ class DiversityService:
 
     def _execute(self, queries: Iterable[QueryLike], executor: str | None,
                  max_workers: int, concurrent: bool) -> list[QueryResult]:
-        """Common query funnel: normalize, snapshot, plan, dispatch, count.
+        """Common query funnel: normalize, snapshot, route, dispatch, count.
 
         The epsilon-reuse candidates are resolved here, against the
         cache state *at batch start*, and handed to the backend: every
@@ -621,11 +597,9 @@ class DiversityService:
         or thread timing, which is what keeps concurrent answers
         bit-identical to ``query_batch`` on mixed-eps workloads.
 
-        When the call site names no *executor*, ``plan="auto"`` asks the
-        query planner for the predicted-cheapest backend (and records
-        the plan's measured wall time afterwards); ``plan="static"``
-        resolves it exactly as before — the service default, or
-        ``thread`` for concurrent calls on a serial-default service.
+        The backend is the call site's *executor*, else the service
+        default — except that concurrent calls on a serial-default
+        service run on ``thread``.
         """
         queries = list(queries)
         if any(isinstance(query, (tuple, list)) for query in queries):
@@ -640,30 +614,15 @@ class DiversityService:
                     self.batches_answered += 1
             return []
         snapshot = self._snapshot()
-        rungs, reuse, cached_flags = self._plan_batch(snapshot, normalized)
-        plan: Plan | None = None
+        rungs, reuse = self._plan_batch(snapshot, normalized)
         if executor is None:
-            if self.plan_mode == "auto":
-                index, epoch, _cache, matrices = snapshot
-
-                def resident(rung_key, _m=matrices, _e=epoch):
-                    """Whether the rung's matrix is already cached."""
-                    return _m.contains((self.dataset_id, _e, rung_key))
-
-                plan = self._planner.plan_batch(normalized, rungs,
-                                                index.dtype, resident,
-                                                cached_flags)
-                executor = plan.executor
-            elif concurrent and self.default_executor == "serial":
+            if concurrent and self.default_executor == "serial":
                 executor = "thread"
             else:
                 executor = self.default_executor
         backend = self._executor_obj(executor)
-        started = time.perf_counter()
         results = backend.run(self, snapshot, normalized, max_workers,
                               rungs, reuse)
-        if plan is not None:
-            self._planner.record(plan, time.perf_counter() - started)
         with self._counter_lock:
             self.queries_answered += len(normalized)
             if concurrent:
@@ -766,15 +725,13 @@ class DiversityService:
         return result
 
     def _plan_batch(self, snapshot, normalized: list[Query],
-                    ) -> tuple[list, dict, list[bool]]:
+                    ) -> tuple[list, dict]:
         """Route the batch and resolve its epsilon-reuse answers up front.
 
-        Returns ``(rungs, reuse, cached_flags)``: the rung serving each
-        query (in input order — backends consume these instead of
-        re-routing), the epsilon-reuse answers available at batch start
-        keyed by cache key, and per query whether the result cache (or
-        the reuse set) already holds its answer — the query planner's
-        zero-cost signal for which queries still need a solve.  For each
+        Returns ``(rungs, reuse)``: the rung serving each query (in input
+        order — backends consume these instead of re-routing), and the
+        epsilon-reuse answers available at batch start keyed by cache
+        key.  For each
         query routing to a rung whose own key is absent, cached answers
         of *larger* covering rungs — solved for a tighter ``eps``, hence
         valid for this looser one by the core-set guarantee — are peeked
@@ -794,7 +751,6 @@ class DiversityService:
         """
         index, epoch, cache, _ = snapshot
         rungs: list[LadderRung] = []
-        cached_flags: list[bool] = []
         reuse: dict[tuple, QueryResult] = {}
         for query in normalized:
             candidates = index.covering_rungs(query.objective, query.k)
@@ -804,7 +760,6 @@ class DiversityService:
             cache_key = (self.dataset_id, epoch, query.objective, query.k,
                          index.seed, rung.key)
             if cache_key in reuse or cache.peek(cache_key) is not None:
-                cached_flags.append(True)
                 continue
             for other in candidates:
                 if other.k_prime <= rung.k_prime:
@@ -815,53 +770,9 @@ class DiversityService:
                 if reusable is not None:
                     reuse[cache_key] = reusable
                     break
-            cached_flags.append(cache_key in reuse)
         with self._counter_lock:
             self.routing_decisions += len(normalized)
-        return rungs, reuse, cached_flags
-
-    def preview_plan(self, queries: Iterable[QueryLike]) -> Plan:
-        """Plan a batch without executing or recording it.
-
-        The ``repro plan`` explain path: routes the queries, probes
-        cache residency (stat-free peeks) and returns the
-        :class:`~repro.service.planner.Plan` the ``auto`` mode would
-        run, including every candidate executor's predicted cost.  No
-        counters move and the planner's metrics are untouched.
-        """
-        normalized = [self._normalize(query) for query in list(queries)]
-        if not normalized:
-            raise ValidationError("preview_plan needs at least one query")
-        index, epoch, cache, matrices = self._snapshot()
-        rungs = [index.route(query.objective, query.k, query.epsilon)
-                 for query in normalized]
-        cached_flags = [
-            cache.peek((self.dataset_id, epoch, query.objective, query.k,
-                        index.seed, rung.key)) is not None
-            for query, rung in zip(normalized, rungs)]
-
-        def resident(rung_key):
-            """Whether the rung's matrix is already cached."""
-            return matrices.contains((self.dataset_id, epoch, rung_key))
-
-        return self._planner.plan_batch(normalized, rungs, index.dtype,
-                                        resident, cached_flags)
-
-    def plan_signature(self, queries: Iterable[QueryLike]) -> tuple | None:
-        """The batching class these queries would dispatch under.
-
-        ``None`` in static mode (and on any planning failure), so the
-        daemon's micro-batch grouping degrades to exactly today's
-        dataset-only key; in ``auto`` mode requests predicted to run on
-        different executors get different signatures and dispatch as
-        separate batches.  Never builds a lazy index.
-        """
-        if self.plan_mode != "auto" or self._index is None:
-            return None
-        try:
-            return self.preview_plan(queries).signature
-        except Exception:
-            return None
+        return rungs, reuse
 
     def _lookup(self, cache: StripedLRUCache, epoch: int,
                 index: CoresetIndex, query: Query, rung: LadderRung,
@@ -1091,7 +1002,7 @@ class DiversityService:
 
         One JSON-ready dict, shared verbatim by this in-process API and
         the daemon's ``GET /stats`` (:mod:`repro.service.server`), with a
-        ``schema_version`` stamp and seven stable sections:
+        ``schema_version`` stamp and six stable sections:
 
         * ``counters`` — ``queries_answered``, ``batches_answered``,
           ``concurrent_batches``, ``build_calls`` (frozen across
@@ -1112,13 +1023,7 @@ class DiversityService:
         * ``verify`` — the float64 shadow-check block: ``enabled`` /
           ``fraction`` / ``rtol`` configuration plus ``checks``,
           ``value_mismatches``, ``index_mismatches``, ``ties`` counters
-          (see :meth:`_maybe_verify`);
-        * ``planner`` — the query-planning block: ``mode``
-          (``static``/``auto``), ``calibrated``, ``planned`` batches,
-          per-executor ``plans`` counts, cumulative
-          ``predicted_seconds``/``measured_seconds`` and the
-          regression-gated ``mean_rel_error`` (predicted-vs-measured;
-          ``None`` until a batch has been planned).
+          (see :meth:`_maybe_verify`).
 
         The key inventory is documented in ``docs/serving.md`` and
         drift-gated by ``tests/test_docs.py``.
@@ -1170,9 +1075,5 @@ class DiversityService:
                 "value_mismatches": self.verify_value_mismatches,
                 "index_mismatches": self.verify_index_mismatches,
                 "ties": self.verify_ties,
-            },
-            "planner": {
-                "mode": self.plan_mode,
-                **self._planner.stats(),
             },
         }

@@ -13,8 +13,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.coresets.smm import SMM
 from repro.streaming.stream import Stream
 from repro.utils.validation import as_float_array

@@ -331,15 +331,11 @@ DEFAULT_PROFILE_FILENAME = ".repro_profile.json"
 # Version 2: entries gained a ``dtype`` field and keys a ``:dtype=``
 # component — float64-derived tilings must not be replayed for float32
 # workloads (they would leave half the budgeted tile width unused).
-# Version 3: the profile gained a top-level ``planner_calibration`` block
-# (the query planner's fitted CostModel).  The ``kernel_tuning`` layout is
-# unchanged, so v2 files still load — they simply carry no calibration and
-# the planner falls back to its defaults.
+# Version 3: the profile gained a top-level ``planner_calibration`` block,
+# which no code reads any more.  v2 and v3 share the ``kernel_tuning``
+# layout, so both load; saves keep the block like any other unknown one.
 _PROFILE_FORMAT_VERSION = 3
 _COMPATIBLE_PROFILE_VERSIONS = (2, 3)
-
-#: Top-level profile key holding the query planner's calibration payload.
-CALIBRATION_KEY = "planner_calibration"
 
 
 def tile_profile_path() -> Path:
@@ -380,18 +376,6 @@ def load_tile_profile(path: str | Path | None = None) -> dict[str, dict]:
     return entries if isinstance(entries, dict) else {}
 
 
-def load_calibration(path: str | Path | None = None) -> dict:
-    """The profile's query-planner calibration block (empty when absent).
-
-    Format v1/v2 profiles carry no block, so they load "with defaults":
-    :meth:`repro.service.planner.CostModel.from_payload` of ``{}`` is the
-    built-in model.
-    """
-    path = tile_profile_path() if path is None else Path(path)
-    block = _read_profile_payload(path).get(CALIBRATION_KEY)
-    return block if isinstance(block, dict) else {}
-
-
 def save_tile_profile(entries: dict[str, dict],
                       path: str | Path | None = None) -> Path:
     """Write the profile atomically (temp file + ``os.replace``).
@@ -399,33 +383,13 @@ def save_tile_profile(entries: dict[str, dict],
     Concurrent writers (a benchmark run and a CLI run sharing the default
     profile) may interleave, but a reader can never observe a torn file —
     the failure mode that would silently reset the accumulated profile.
-    Other top-level blocks of a compatible file (the planner calibration)
-    are preserved; the write upgrades the file to the current format.
+    Other top-level blocks of a compatible file are preserved; the write
+    upgrades the file to the current format.
     """
     path = tile_profile_path() if path is None else Path(path)
     payload = _read_profile_payload(path)
     payload.update({"format_version": _PROFILE_FORMAT_VERSION,
                     "kernel_tuning": entries})
-    return _write_profile_payload(payload, path)
-
-
-def save_calibration(calibration: dict,
-                     path: str | Path | None = None) -> Path:
-    """Persist the planner calibration block (``repro calibrate``).
-
-    Read-modify-write: ``kernel_tuning`` entries already in a compatible
-    profile survive, and the file is (re)written as format v3
-    atomically.
-    """
-    path = tile_profile_path() if path is None else Path(path)
-    payload = _read_profile_payload(path)
-    payload.setdefault("kernel_tuning", {})
-    payload.update({"format_version": _PROFILE_FORMAT_VERSION,
-                    CALIBRATION_KEY: dict(calibration)})
-    return _write_profile_payload(payload, path)
-
-
-def _write_profile_payload(payload: dict, path: Path) -> Path:
     tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)

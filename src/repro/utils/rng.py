@@ -9,7 +9,7 @@ master seed so that trials are reproducible yet uncorrelated.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -259,54 +259,19 @@ class TestServiceVerbs:
         assert "refreshes" not in original.get("extra", {})
 
 
-class TestPlannerVerbs:
-    """``repro calibrate`` / ``repro plan`` / ``repro query --plan auto``."""
+class TestRemovedPlannerVerbs:
+    """The planner's verbs and flag are gone: argparse rejects them."""
 
-    @pytest.fixture
-    def index_path(self, dataset, tmp_path):
-        idx = tmp_path / "svc"
-        assert main(["index", "--data", str(dataset), "--k-max", "8",
-                     "--out", str(idx)]) == 0
-        return idx
-
-    def test_calibrate_writes_profile_v3(self, tmp_path, capsys):
-        import json
-
-        profile = tmp_path / "profile.json"
-        assert main(["calibrate", "--sizes", "48,64", "--executors",
-                     "serial", "--repeats", "1",
-                     "--profile", str(profile)]) == 0
-        out = capsys.readouterr().out
-        assert "profile format v3" in out
-        assert "ns/cell" in out and "dispatch" in out
-        payload = json.loads(profile.read_text())
-        assert payload["format_version"] == 3
-        assert payload["planner_calibration"]["calibrated"] is True
-
-    def test_calibrate_rejects_unknown_executor(self, capsys):
-        assert main(["calibrate", "--executors", "gpu"]) == 2
-        assert "unknown executor" in capsys.readouterr().err
-
-    def test_plan_explains_the_choice(self, index_path, capsys):
-        assert main(["plan", "--index", str(index_path), "--k", "6",
-                     "--batch", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "routed rung" in out
-        assert "plan: executor" in out
-        assert "->" in out  # the winning candidate is marked
-
-    def test_query_plan_auto_reports_planner(self, index_path, capsys):
-        assert main(["query", "--index", str(index_path),
-                     "--objective", "remote-edge", "--k", "4",
-                     "--plan", "auto", "--repeat", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "value =" in out
-        assert "planner: 2 planned batches" in out
-
-    def test_query_plan_defaults_to_static(self, index_path, capsys):
-        assert main(["query", "--index", str(index_path),
-                     "--objective", "remote-edge", "--k", "4"]) == 0
-        assert "planner:" not in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [
+        ["calibrate"],
+        ["plan", "--index", "idx", "--k", "4"],
+        ["query", "--index", "idx", "--k", "4", "--plan", "auto"],
+        ["serve", "--index", "idx", "--plan", "auto"],
+    ])
+    def test_exits_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestRegistryTune:

@@ -13,7 +13,6 @@ import pytest
 from repro.coresets.smm import SMM
 from repro.coresets.smm_ext import SMMExt
 from repro.coresets.smm_gen import SMMGen
-from repro.diversity.exact import divk_exact
 from repro.diversity.sequential import solve_sequential
 from repro.exceptions import NotFittedError
 from repro.metricspace.points import PointSet

@@ -205,31 +205,6 @@ class TestRegistryStatsSchemaTable:
             f"stale {sorted(documented - emitted)}")
 
 
-class TestPlannerStatsSchemaTable:
-    """The query-planner table must match the ``planner`` stats block."""
-
-    def test_table_matches_emitted_keys(self):
-        import numpy as np
-
-        from repro.metricspace.points import PointSet
-        from repro.service import DiversityService, build_coreset_index
-
-        rng = np.random.default_rng(0)
-        index = build_coreset_index(PointSet(rng.normal(size=(40, 3))), 3,
-                                    seed=0)
-        with DiversityService(index, cache_size=8, plan="auto") as service:
-            service.query("remote-edge", 3)
-            emitted = TestStatsSchemaTable._flatten(
-                service.stats()["planner"])
-        documented = _documented_keys("planner-stats-keys")
-        assert documented, \
-            "serving.md planner stats table markers missing or empty"
-        assert emitted == documented, (
-            f"docs/serving.md planner stats table drifted: "
-            f"undocumented {sorted(emitted - documented)}, "
-            f"stale {sorted(documented - emitted)}")
-
-
 class TestQosStatsSchemaTable:
     """The Tenant QoS table must match the live WDRR scheduler block."""
 

@@ -224,6 +224,19 @@ class TestDiversityService:
         with pytest.raises(ValidationError):
             DiversityService()
 
+    def test_prebuilt_index_rejects_build_options(self, index):
+        # Build options only feed a lazy build, so with a prebuilt index
+        # a misspelt keyword would otherwise vanish without effect.
+        with pytest.raises(ValidationError,
+                           match="cache_sise, executer"):
+            DiversityService(index, cache_sise=4, executer="process")
+
+    def test_static_plan_is_the_only_plan(self, index):
+        with DiversityService(index, plan="static") as service:
+            assert service.query("remote-edge", 4).value > 0
+        with pytest.raises(ValidationError, match="executor="):
+            DiversityService(index, plan="auto")
+
     def test_batch_preserves_order_and_shares_matrices(self, index):
         service = DiversityService(index)
         queries = [Query("remote-edge", 3), Query("remote-clique", 3),
@@ -284,9 +297,7 @@ class TestDiversityService:
         stats = service.stats()
         assert stats["schema_version"] == SCHEMA_VERSION
         assert set(stats) == {"schema_version", "counters", "caches",
-                              "matrices", "executors", "epochs", "verify",
-                              "planner"}
-        assert stats["planner"]["mode"] == "static"
+                              "matrices", "executors", "epochs", "verify"}
         assert stats["counters"]["queries_answered"] == 1
         assert stats["counters"]["batches_answered"] == 1
         assert stats["epochs"]["index_built"] is True
@@ -298,6 +309,30 @@ class TestDiversityService:
         assert stats["executors"]["default"] == "serial"
         assert set(stats["caches"]["results"]) == {
             "hits", "misses", "evictions", "hit_rate", "entries", "capacity"}
+
+
+class TestRoutingDecisions:
+    """Regression: exactly one routing decision per query, on every path."""
+
+    def test_single_query_routes_once(self, index):
+        with DiversityService(index) as service:
+            service.query("remote-edge", 6)
+            assert service.stats()["counters"]["routing_decisions"] == 1
+            service.query("remote-edge", 6)  # cache hit still routes once
+            assert service.stats()["counters"]["routing_decisions"] == 2
+
+    def test_batch_routes_once_per_query(self, index):
+        with DiversityService(index) as service:
+            service.query_batch([Query("remote-edge", k) for k in (4, 6, 9)])
+            assert service.stats()["counters"]["routing_decisions"] == 3
+
+    def test_concurrent_path_routes_once_per_query(self, index):
+        with DiversityService(index) as service:
+            service.query_concurrent([Query("remote-edge", 4),
+                                      Query("remote-edge", 6)],
+                                     max_workers=2)
+            service.query("remote-clique", 5)
+            assert service.stats()["counters"]["routing_decisions"] == 3
 
 
 # -- float64 shadow verify ----------------------------------------------------

@@ -18,10 +18,12 @@ Covers the process-parallel acceptance criteria of the executor PR:
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -509,6 +511,97 @@ class TestProcessLifecycle:
         process_service.warm_executor("process", max_workers=2)
         result = process_service.query("remote-edge", 5)
         assert result.k == 5
+
+
+class TestProcessHealing:
+    """A killed worker breaks the pool; the executor heals and retries."""
+
+    QUERIES = [Query(name, k) for name in list_objectives() for k in (4, 8)]
+
+    @staticmethod
+    def _assert_identical(results, reference):
+        assert len(results) == len(reference)
+        for ours, theirs in zip(results, reference):
+            assert ours.value == theirs.value
+            assert ours.rung == theirs.rung
+            assert np.array_equal(ours.indices, theirs.indices)
+
+    @staticmethod
+    def _kill_one_worker(backend) -> None:
+        pid = next(iter(backend._pool._processes))
+        os.kill(pid, signal.SIGKILL)
+
+    def test_kill_between_batches(self, index):
+        reference = DiversityService(index).query_batch(self.QUERIES)
+        with DiversityService(index, executor="process",
+                              executor_workers=2, cache_size=1) as service:
+            service.warm_executor("process", max_workers=2)
+            backend = service._executor_obj("process")
+            self._kill_one_worker(backend)
+            for _ in range(3):
+                # A one-entry result cache makes every batch solve again.
+                self._assert_identical(service.query_batch(self.QUERIES),
+                                       reference)
+            results = service.stats()["caches"]["results"]
+            assert results["hits"] + results["misses"] == 3 * len(
+                self.QUERIES)
+
+    def test_kill_mid_batch_with_stripe_locks_held(self, index):
+        reference = DiversityService(index).query_batch(self.QUERIES)
+        with DiversityService(index, executor="process",
+                              executor_workers=2) as service:
+            service.warm_executor("process", max_workers=2)
+            backend = service._executor_obj("process")
+            pool = backend._pool
+            # Holding every stripe lock parks the workers inside
+            # shm.fill_once, and stands in for a worker that died holding
+            # one: the retry must not wait on these locks.
+            held = list(backend._locks)
+            for lock in held:
+                lock.acquire()
+            outcome = {}
+
+            def run():
+                try:
+                    outcome["results"] = service.query_batch(self.QUERIES)
+                except Exception as exc:  # reported below
+                    outcome["error"] = exc
+
+            thread = threading.Thread(target=run)
+            try:
+                thread.start()
+                deadline = time.monotonic() + 30
+                while not pool._pending_work_items:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                self._kill_one_worker(backend)
+                thread.join(timeout=60)
+                finished = not thread.is_alive()
+            finally:
+                for lock in held:
+                    lock.release()
+                thread.join(timeout=60)
+            assert finished, "the retry waited on a dead holder's lock"
+            assert not thread.is_alive()
+            assert "error" not in outcome, outcome.get("error")
+            self._assert_identical(outcome["results"], reference)
+            results = service.stats()["caches"]["results"]
+            assert results["misses"] == len(self.QUERIES)
+            self._assert_identical(service.query_batch(self.QUERIES),
+                                   reference)
+
+    def test_second_break_propagates_and_heals(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.service import ProcessExecutor
+
+        backend = ProcessExecutor()
+        try:
+            with pytest.raises(BrokenProcessPool):
+                backend._map(1, os._exit, [(1,)])
+            assert backend._map(1, abs, [(-3,)]) == [3]
+        finally:
+            backend.close()
 
 
 # -- epsilon-aware result reuse -----------------------------------------------

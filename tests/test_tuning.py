@@ -322,7 +322,7 @@ class TestTenantWeights:
 
 
 class TestProfileMigration:
-    """Profile format v3: the planner calibration block rides along."""
+    """Profile formats v2 and v3 load; v1 and newer ones are ignored."""
 
     @staticmethod
     def _write_raw(payload):
@@ -331,73 +331,37 @@ class TestProfileMigration:
         return path
 
     def test_v1_profile_loads_as_empty(self):
-        # Pre-dtype v1 files must not pin outdated tilings — and they
-        # never carried a calibration block.
-        from repro.tuning import load_calibration
-
+        # Pre-dtype v1 files must not pin outdated tilings.
         self._write_raw({"format_version": 1,
                          "kernel_tuning": {"stale": {"tile_rows": 7}}})
         assert load_tile_profile() == {}
-        assert load_calibration() == {}
 
-    def test_v2_profile_loads_with_default_calibration(self):
-        from repro.service.planner import CostModel
-        from repro.tuning import load_calibration
-
+    def test_v2_profile_entries_load(self):
         entry = {"euclidean:10x10x2:budget=1:dtype=float64":
                  {"tile_rows": 5}}
         self._write_raw({"format_version": 2, "kernel_tuning": entry})
-        assert load_tile_profile() == entry  # v2 entries stay usable
-        assert load_calibration() == {}
-        model = CostModel.from_payload(load_calibration())
-        assert model.calibrated is False
-        assert model == CostModel.default()
+        assert load_tile_profile() == entry
 
-    def test_v3_round_trip_preserves_calibration(self):
-        from repro.service.planner import CostModel
-        from repro.tuning import load_calibration, save_calibration
-
-        model = CostModel.default()
-        model.calibrated = True
-        model.dispatch_seconds["process"] = 0.125
-        save_calibration(model.to_payload())
-        path = tile_profile_path()
-        assert json.loads(path.read_text())["format_version"] == 3
-        restored = CostModel.from_payload(load_calibration())
-        assert restored == model
-
-    def test_save_tile_profile_preserves_calibration(self):
-        from repro.tuning import load_calibration, save_calibration
-
-        save_calibration({"scale": 2.0})
+    def test_v3_calibration_block_is_ignored_and_kept(self):
+        # v3 files written when the profile carried a query-planner
+        # calibration block still load, and saving keeps the block.
+        block = {"calibrated": True, "scale": 2.0}
+        self._write_raw({"format_version": 3,
+                         "kernel_tuning": {"old": {"tile_rows": 4}},
+                         "planner_calibration": block})
+        assert load_tile_profile() == {"old": {"tile_rows": 4}}
         save_tile_profile({"key": {"tile_rows": 3}})
-        assert load_calibration() == {"scale": 2.0}
         assert load_tile_profile() == {"key": {"tile_rows": 3}}
+        payload = json.loads(tile_profile_path().read_text())
+        assert payload["planner_calibration"] == block
 
-    def test_save_calibration_preserves_kernel_entries(self):
-        from repro.tuning import load_calibration, save_calibration
-
-        save_tile_profile({"key": {"tile_rows": 3}})
-        save_calibration({"scale": 2.0})
-        assert load_tile_profile() == {"key": {"tile_rows": 3}}
-        assert load_calibration() == {"scale": 2.0}
-
-    def test_save_calibration_upgrades_v2_in_place(self):
-        from repro.tuning import save_calibration
-
+    def test_save_upgrades_v2_in_place(self):
         entry = {"k": {"tile_rows": 9}}
         self._write_raw({"format_version": 2, "kernel_tuning": entry})
-        save_calibration({"scale": 1.5})
+        save_tile_profile(load_tile_profile())
         payload = json.loads(tile_profile_path().read_text())
         assert payload["format_version"] == 3
         assert payload["kernel_tuning"] == entry  # survives the upgrade
-
-    def test_calibration_block_ignored_when_malformed(self):
-        from repro.tuning import CALIBRATION_KEY, load_calibration
-
-        self._write_raw({"format_version": 3, "kernel_tuning": {},
-                         CALIBRATION_KEY: ["not", "a", "dict"]})
-        assert load_calibration() == {}
 
 
 class TestRecommendationPipeline:
