@@ -48,7 +48,6 @@ import threading
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -257,6 +256,25 @@ def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False)
 
 
+def _reap_broken_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut down a pool broken by a dead worker, without hanging.
+
+    A submit that races the break can spawn a worker after the pool's
+    manager thread has terminated the others.  The manager thread then
+    waits on that worker forever, and ``shutdown(wait=True)`` would wait
+    on the manager thread.  ``shutdown`` takes the lock every submit
+    holds, so once it returns no worker can be spawned, and terminating
+    every worker left lets the manager thread finish.
+    """
+    manager = pool._executor_manager_thread
+    processes = pool._processes or {}
+    pool.shutdown(wait=False)
+    for process in list(processes.values()):
+        process.terminate()
+    if manager is not None:
+        manager.join()
+
+
 class ProcessExecutor:
     """Process-pool backend over the shared-memory data plane.
 
@@ -331,7 +349,10 @@ class ProcessExecutor:
             if self._pool_finalizer is not None:
                 self._pool_finalizer.detach()
                 self._pool_finalizer = None
-            self._pool.shutdown(wait=True)
+            if self._pool._broken:
+                _reap_broken_pool(self._pool)
+            else:
+                self._pool.shutdown(wait=True)
             self._pool = None
             self._pool_workers = 0
 
@@ -345,7 +366,10 @@ class ProcessExecutor:
         its ready flag unset, so the next worker to fill it starts over.
         Every call is then resubmitted once on a fresh pool; solves are
         deterministic, so the retry returns the same answers.  A second
-        break propagates.
+        break propagates.  A submit that races the break may instead
+        fail to spawn a worker on the pool's torn-down queues (an
+        ``OSError`` or ``ValueError``), so any error on a pool marked
+        broken counts as the break.
         """
         retried = False
         while True:
@@ -353,7 +377,9 @@ class ProcessExecutor:
             try:
                 futures = [pool.submit(fn, *args) for args in calls]
                 return [future.result() for future in futures]
-            except BrokenProcessPool:
+            except Exception:
+                if not pool._broken:
+                    raise
                 with self._lock:
                     if self._pool is pool:
                         self._drop_pool()

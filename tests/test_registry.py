@@ -15,13 +15,15 @@ Covers the registry PR's acceptance criteria:
 * manifest round-trip — ``save_manifest`` / ``from_directory`` rebuild
   an answer-identical registry; malformed manifests are rejected;
 * leak-free lifecycle — a process-executor registry publishes zero
-  shared-memory segments after ``close()``.
+  shared-memory segments after ``close()``, and a worker killed under
+  the shared fleet is replaced for every tenant.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import threading
 
 import numpy as np
@@ -390,3 +392,24 @@ def test_process_registry_leaves_no_segments(indexes):
         registry.close()
     assert registry.segment_names() == []
     assert names & _shm_segments() == set()
+
+
+def test_process_fleet_heals_for_every_tenant(indexes):
+    # Every tenant rides one worker fleet, so one dead worker must not
+    # take the fleet down for any of them.
+    queries = [Query(objective, 4) for objective in OBJECTIVES]
+    expected = {}
+    for name in ("eu", "us"):
+        with DiversityService(indexes[name]) as oracle:
+            expected[name] = [result_key(r)
+                              for r in oracle.query_batch(queries)]
+    with IndexRegistry(executor="process", executor_workers=2) as registry:
+        for name in ("eu", "us"):
+            registry.register(name, indexes[name])
+        registry.query_batch([Query("remote-edge", 3)], "eu")  # fleet up
+        pool = registry._pool.get("process")._pool
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        for name in ("eu", "us"):
+            got = [result_key(r) for r in registry.query_batch(queries, name)]
+            assert got == expected[name]
+        assert registry._pool.get("process")._pool is not pool

@@ -17,7 +17,10 @@ toolchain).  Covered contracts:
 * registry mode — ``dataset`` envelopes route to the named tenant,
   unknown tenants map to ``unknown_dataset`` (HTTP 404), ``tenants`` /
   ``GET /tenants`` serve the registry counters, refreshes land on one
-  tenant only, and single-index daemons reject tenant routing.
+  tenant only, and single-index daemons reject tenant routing;
+* dispatch groups a coalesced batch by dataset alone — one
+  ``query_batch`` call per dataset, whatever its queries' objectives,
+  k or rungs.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.service import (
     make_workload,
 )
 from repro.service import protocol
+from repro.service.server import _Work
 
 
 @pytest.fixture(scope="module")
@@ -528,6 +532,63 @@ def test_single_index_server_rejects_tenant_routing(index):
     assert "--registry" in by_id[1]["error"]["message"]
     assert by_id[2]["error"]["code"] == "bad_request"
     assert missing[0] == 404  # no /tenants route on a single-index daemon
+
+
+def _dispatch_one_batch(make_server, requests):
+    """Hand *requests* to the dispatcher as one coalesced batch.
+
+    Returns each request's results and the server stats taken after the
+    dispatch (the collector and the listener are bypassed).
+    """
+    async def run():
+        server = make_server()
+        loop = asyncio.get_running_loop()
+        batch = [_Work(request, loop.create_future(), "peer")
+                 for request in requests]
+        server._pending += len(batch)
+        try:
+            await server._dispatch(batch)
+            stats = server.stats()
+        finally:
+            await server.shutdown()
+        return [work.future.result() for work in batch], stats
+
+    return asyncio.run(run())
+
+
+def test_dispatch_sends_a_single_index_batch_as_one_call(index):
+    # Different objectives, k and rungs still share one query_batch.
+    workload = [Query("remote-edge", 3), Query("remote-clique", 5),
+                Query("remote-tree", 4), Query("remote-edge", 5)]
+    with DiversityService(index, cache_size=256) as oracle:
+        expected = [result_key(r) for r in oracle.query_batch(workload)]
+    requests = [protocol.Request("query", i, queries=(query,))
+                for i, query in enumerate(workload)]
+    results, stats = _dispatch_one_batch(lambda: fresh_server(index),
+                                         requests)
+    assert [result_key(r) for (r,) in results] == expected
+    assert stats["server"]["batches_dispatched"] == 1
+    assert stats["server"]["batched_requests"] == len(workload)
+    assert stats["server"]["queries_served"] == len(workload)
+
+
+def test_dispatch_groups_a_registry_batch_by_dataset(tenant_indexes):
+    workload = [("eu", Query("remote-edge", 3)),
+                ("us", Query("remote-clique", 4)),
+                ("eu", Query("remote-star", 5)),
+                ("us", Query("remote-edge", 3))]
+    expected = []
+    for name, query in workload:
+        with DiversityService(tenant_indexes[name], cache_size=16) as oracle:
+            expected.append(result_key(oracle.query_batch([query])[0]))
+    requests = [protocol.Request("query", i, queries=(query,), dataset=name)
+                for i, (name, query) in enumerate(workload)]
+    results, stats = _dispatch_one_batch(
+        lambda: fresh_registry_server(tenant_indexes), requests)
+    assert [result_key(r) for (r,) in results] == expected
+    # Interleaved tenants: one query_batch call per dataset.
+    assert stats["server"]["batches_dispatched"] == 2
+    assert stats["server"]["internal_errors"] == 0
 
 
 def test_sigterm_drains_cli_daemon_cleanly(index, tmp_path):

@@ -14,6 +14,7 @@ from repro.diversity.sequential.registry import solve_sequential
 from repro.exceptions import ValidationError
 from repro.mapreduce.algorithm import MRDiversityMaximizer
 from repro.service import (
+    EXECUTOR_NAMES,
     CoresetIndex,
     DiversityService,
     LRUCache,
@@ -237,6 +238,34 @@ class TestDiversityService:
         with pytest.raises(ValidationError, match="executor="):
             DiversityService(index, plan="auto")
 
+    @pytest.mark.parametrize("plan", ["adaptive", "serial", "process", None])
+    def test_other_plan_values_rejected(self, index, plan):
+        # Executor names are not plans either: the error points the
+        # caller at executor=, the one place a backend is chosen.
+        with pytest.raises(ValidationError, match="executor="):
+            DiversityService(index, plan=plan)
+
+    @pytest.mark.parametrize("option, value", [
+        ("k_min", 4), ("seed", 1), ("parallelism", 2), ("dtype", "float32")])
+    def test_prebuilt_index_rejects_each_build_option(self, index, option,
+                                                      value):
+        # Correctly spelt build options are refused too: the prebuilt
+        # index has already fixed every one of them.
+        with pytest.raises(ValidationError, match=option):
+            DiversityService(index, **{option: value})
+
+    def test_lazy_build_receives_build_options(self, dataset):
+        with DiversityService(points=dataset, k_max=8, k_min=8,
+                              seed=0) as service:
+            built = service.ensure_index()
+        reference = build_coreset_index(dataset, k_max=8, k_min=8, seed=0)
+        assert [rung.key for rung in built.all_rungs()] == \
+            [rung.key for rung in reference.all_rungs()]
+        # k_min=8 collapses the default 4-to-8 ladder to one cap.
+        assert {rung.k_cap for rung in built.all_rungs()} == {8}
+        for ours, theirs in zip(built.all_rungs(), reference.all_rungs()):
+            assert np.array_equal(ours.coreset.points, theirs.coreset.points)
+
     def test_batch_preserves_order_and_shares_matrices(self, index):
         service = DiversityService(index)
         queries = [Query("remote-edge", 3), Query("remote-clique", 3),
@@ -333,6 +362,54 @@ class TestRoutingDecisions:
                                      max_workers=2)
             service.query("remote-clique", 5)
             assert service.stats()["counters"]["routing_decisions"] == 3
+
+
+class TestExecutorChoice:
+    """One static rule picks each call's backend: the call site's
+    ``executor=``, else the service default, except that
+    ``query_concurrent`` on a serial-default service runs on threads."""
+
+    QUERIES = [Query("remote-edge", 4), Query("remote-clique", 6)]
+
+    @pytest.fixture(scope="class")
+    def reference(self, index):
+        return DiversityService(index).query_batch(self.QUERIES)
+
+    def _check(self, index, reference, entry, default, executor, expected):
+        with DiversityService(index, executor=default,
+                              executor_workers=1) as service:
+            if entry == "query_batch":
+                results = service.query_batch(self.QUERIES,
+                                              executor=executor)
+            else:
+                results = service.query_concurrent(self.QUERIES,
+                                                   max_workers=1,
+                                                   executor=executor)
+            # Backends are created lazily, so the one that ran is the
+            # only one the fresh service has.
+            assert service.stats()["executors"]["active"] == [expected]
+        for ours, theirs in zip(results, reference):
+            assert ours.value == theirs.value
+            assert np.array_equal(ours.indices, theirs.indices)
+
+    @pytest.mark.parametrize("entry, default, expected", [
+        ("query_batch", "serial", "serial"),
+        ("query_batch", "thread", "thread"),
+        ("query_batch", "process", "process"),
+        ("query_concurrent", "serial", "thread"),
+        ("query_concurrent", "thread", "thread"),
+        ("query_concurrent", "process", "process"),
+    ])
+    def test_service_default(self, index, reference, entry, default,
+                             expected):
+        self._check(index, reference, entry, default, None, expected)
+
+    @pytest.mark.parametrize("entry", ["query_batch", "query_concurrent"])
+    @pytest.mark.parametrize("default", EXECUTOR_NAMES)
+    @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
+    def test_call_site_executor_wins(self, index, reference, entry, default,
+                                     executor):
+        self._check(index, reference, entry, default, executor, executor)
 
 
 # -- float64 shadow verify ----------------------------------------------------

@@ -531,6 +531,13 @@ class TestProcessHealing:
         pid = next(iter(backend._pool._processes))
         os.kill(pid, signal.SIGKILL)
 
+    @staticmethod
+    def _wait_until_broken(pool) -> None:
+        deadline = time.monotonic() + 30
+        while not pool._broken:
+            assert time.monotonic() < deadline, "the kill went unnoticed"
+            time.sleep(0.01)
+
     def test_kill_between_batches(self, index):
         reference = DiversityService(index).query_batch(self.QUERIES)
         with DiversityService(index, executor="process",
@@ -590,6 +597,20 @@ class TestProcessHealing:
             self._assert_identical(service.query_batch(self.QUERIES),
                                    reference)
 
+    def test_warm_heals_a_killed_worker(self, index):
+        reference = DiversityService(index).query_batch(self.QUERIES)
+        with DiversityService(index, executor="process",
+                              executor_workers=2) as service:
+            service.warm_executor("process", max_workers=2)
+            backend = service._executor_obj("process")
+            broken = backend._pool
+            self._kill_one_worker(backend)
+            self._wait_until_broken(broken)
+            service.warm_executor("process", max_workers=2)
+            assert backend._pool is not broken
+            self._assert_identical(service.query_batch(self.QUERIES),
+                                   reference)
+
     def test_second_break_propagates_and_heals(self):
         from concurrent.futures.process import BrokenProcessPool
 
@@ -603,6 +624,65 @@ class TestProcessHealing:
         finally:
             backend.close()
 
+
+    def test_error_on_a_broken_pool_counts_as_the_break(self, monkeypatch):
+        from repro.service import ProcessExecutor
+
+        backend = ProcessExecutor()
+        try:
+            pool = backend._ensure_pool(1)
+
+            def racing_submit(*args, **kwargs):
+                # A submit that raced the break fails to spawn a worker
+                # on the pool's torn-down queues.
+                pool._broken = "a worker died"
+                raise OSError("handle is closed")
+
+            monkeypatch.setattr(pool, "submit", racing_submit)
+            assert backend._map(1, abs, [(-3,)]) == [3]
+            assert backend._pool is not pool
+        finally:
+            backend.close()
+
+    def test_reaping_a_broken_pool_stops_a_straggler(self):
+        # The state a submit racing the break leaves behind: the pool's
+        # manager thread waits on a worker spawned after it terminated
+        # the others.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.service.executors import _reap_broken_pool
+
+        ctx = multiprocessing.get_context("spawn")
+        straggler = ctx.Process(target=time.sleep, args=(600,))
+        straggler.start()
+        manager = threading.Thread(target=straggler.join)
+        manager.start()
+        pool = ProcessPoolExecutor(max_workers=1, mp_context=ctx)
+        pool._broken = "a worker died"
+        pool._processes = {straggler.pid: straggler}
+        pool._executor_manager_thread = manager
+        reaper = threading.Thread(target=_reap_broken_pool, args=(pool,))
+        reaper.start()
+        reaper.join(timeout=30)
+        try:
+            assert not reaper.is_alive(), "the reaper waited on the straggler"
+            assert not straggler.is_alive()
+        finally:
+            straggler.kill()
+            reaper.join(timeout=30)
+
+    def test_error_on_a_healthy_pool_propagates(self):
+        from repro.service import ProcessExecutor
+
+        backend = ProcessExecutor()
+        try:
+            pool = backend._ensure_pool(1)
+            with pytest.raises(ZeroDivisionError):
+                backend._map(1, divmod, [(1, 0)])
+            assert backend._pool is pool  # kept: nothing broke
+        finally:
+            backend.close()
 
 # -- epsilon-aware result reuse -----------------------------------------------
 

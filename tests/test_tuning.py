@@ -364,6 +364,18 @@ class TestProfileMigration:
         assert payload["kernel_tuning"] == entry  # survives the upgrade
 
 
+    def test_calibration_block_ignored_when_malformed(self):
+        # A leftover block of any shape neither breaks loading nor is
+        # dropped by a later save.
+        self._write_raw({"format_version": 3,
+                         "kernel_tuning": {"old": {"tile_rows": 2}},
+                         "planner_calibration": ["not", "a", "dict"]})
+        assert load_tile_profile() == {"old": {"tile_rows": 2}}
+        save_tile_profile({"key": {"tile_rows": 3}})
+        payload = json.loads(tile_profile_path().read_text())
+        assert payload["planner_calibration"] == ["not", "a", "dict"]
+        assert load_tile_profile() == {"key": {"tile_rows": 3}}
+
 class TestRecommendationPipeline:
     def test_recommendation_actually_performs(self):
         """End-to-end: the recommended k' achieves a good ratio."""
