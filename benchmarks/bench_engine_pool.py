@@ -9,9 +9,10 @@ pool's advantage at a modest >= 1.5x so 2-core CI runners pass with margin
 (locally the gap is typically >= 5x).
 
 The persistent engine is warmed with one untimed round first: steady-state
-dispatch is what multi-round jobs experience, and the per-round mode cannot
-be warmed *by construction* — respawning the pool every round is precisely
-the measured regression.
+dispatch is what multi-round jobs experience.  The per-round baseline opens
+and closes a fresh engine around every round, so it spawns and tears down
+its pool each time and cannot be warmed *by construction* — respawning the
+pool every round is precisely the measured regression.
 
 Emits ``BENCH_engine_pool.json`` for the CI trajectory.
 """
@@ -29,6 +30,7 @@ REDUCERS = 4
 PARALLELISM = 2
 #: CI gate: persistent-pool rounds must beat per-round pools by this factor.
 MIN_SPEEDUP = 1.5
+INPUTS = [[i] for i in range(REDUCERS)]
 
 
 def _echo_reducer(payload):
@@ -36,23 +38,27 @@ def _echo_reducer(payload):
     return payload
 
 
-def _time_rounds(engine: MapReduceEngine) -> float:
-    inputs = [[i] for i in range(REDUCERS)]
+def _persistent_rounds() -> float:
+    with MapReduceEngine(parallelism=PARALLELISM,
+                         executor="process") as engine:
+        engine.run_round([[0], [1]], _echo_reducer)  # warm the pool
+        start = time.perf_counter()
+        for _ in range(ROUNDS):
+            engine.run_round(INPUTS, _echo_reducer)
+        return time.perf_counter() - start
+
+
+def _per_round_pools() -> float:
     start = time.perf_counter()
     for _ in range(ROUNDS):
-        engine.run_round(inputs, _echo_reducer)
+        with MapReduceEngine(parallelism=PARALLELISM,
+                             executor="process") as engine:
+            engine.run_round(INPUTS, _echo_reducer)
     return time.perf_counter() - start
 
 
 def _measure():
-    with MapReduceEngine(parallelism=PARALLELISM, executor="process",
-                         pool_mode="persistent") as engine:
-        engine.run_round([[0], [1]], _echo_reducer)  # warm the pool
-        persistent = _time_rounds(engine)
-    per_round = _time_rounds(
-        MapReduceEngine(parallelism=PARALLELISM, executor="process",
-                        pool_mode="per-round"))
-    return persistent, per_round
+    return _persistent_rounds(), _per_round_pools()
 
 
 def test_engine_pool_overhead(benchmark):

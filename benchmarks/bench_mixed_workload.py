@@ -5,7 +5,7 @@ The serving layers promise that ingest never blocks reads: a
 index off to the side and swaps it in atomically, while queries in
 flight keep their epoch's snapshot.  This benchmark prices that promise.
 For each dtype (float64, and the float32 fast path cast from the same
-index) it runs :func:`repro.service.measure_mixed_workload`:
+index) it runs ``service_harness.measure_mixed_workload``:
 
 * a **query-only** open-loop pass — requests arrive at a fixed rate on a
   warm service and the scheduled-send-to-answer latency is sampled;
@@ -41,7 +41,8 @@ from common import emit, emit_json, run_once
 from repro.datasets.synthetic import sphere_shell
 from repro.experiments.report import format_table
 from repro.metricspace.points import PointSet
-from repro.service import build_coreset_index, measure_mixed_workload
+from repro.service import build_coreset_index
+from service_harness import measure_mixed_workload
 
 K_MAX = 8
 NUM_REQUESTS = 48

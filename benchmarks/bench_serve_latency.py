@@ -6,7 +6,7 @@ queueing, never correctness: daemon answers are bit-identical to
 in-process ``query_batch``, backpressure is explicit, and micro-batching
 coalesces concurrent requests into shared dispatches.  This benchmark
 drives a real daemon (ephemeral TCP port) with
-:func:`~repro.service.workload.measure_serve_latency`'s open-loop
+``service_harness.measure_serve_latency``'s open-loop
 client — send times follow a fixed schedule independent of completions,
 so server slowness surfaces as tail latency rather than silently
 throttling the generator.
@@ -39,7 +39,8 @@ import os
 from common import emit, emit_json, run_once
 from repro.datasets.synthetic import sphere_shell
 from repro.experiments.report import format_table
-from repro.service import build_coreset_index, measure_serve_latency
+from repro.service import build_coreset_index
+from service_harness import measure_serve_latency
 
 K_MAX = 6
 QUERIES_PER_REQUEST = 2

@@ -67,9 +67,8 @@ import time
 from common import emit, emit_json, run_once
 from repro.datasets.synthetic import sphere_shell
 from repro.experiments.report import format_table
-from repro.service import (
-    DiversityService,
-    build_coreset_index,
+from repro.service import DiversityService, build_coreset_index
+from service_harness import (
     measure_concurrent_throughput,
     measure_service_throughput,
 )

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro ...``.
 
-Nine subcommands cover the common workflows without writing any code:
+Eight subcommands cover the common workflows without writing any code:
 
 * ``generate`` — synthesize a dataset (sphere-shell, cube, clusters,
   bag-of-words) and save it via :mod:`repro.datasets.loaders`;
@@ -24,14 +24,7 @@ Nine subcommands cover the common workflows without writing any code:
   (``--index``) or a whole registry of them (``--registry``, with
   ``--max-resident`` hot/cold tiering): newline-delimited JSON over TCP
   plus an HTTP/1.1 adapter on one port, with micro-batching, bounded
-  admission queues and graceful SIGTERM drain (see ``docs/serving.md``);
-* ``serve-bench`` — measure queries/sec and per-query latency
-  percentiles: rebuild-per-query vs the warm service path vs the
-  LRU-cached path, optionally with a concurrent worker sweep
-  (``--threads``, and ``--executor {serial,thread,process}`` to pick the
-  query-execution backend — process workers solve over a shared-memory
-  data plane with answers bit-identical to serial) and an open-loop
-  daemon load test (``--serve-qps``).
+  admission queues and graceful SIGTERM drain (see ``docs/serving.md``).
 
 The generated reference in ``docs/cli.md`` (see ``docs/generate_cli.py``)
 is kept in sync with these parsers by ``tests/test_docs.py`` and the CI
@@ -51,8 +44,6 @@ Examples
     python -m repro registry add --dir /tmp/fleet --id eu --index /tmp/idx
     python -m repro serve --index /tmp/idx --port 7077
     python -m repro serve --registry /tmp/fleet --max-resident 2
-    python -m repro serve-bench --data /tmp/data --k-max 16 --queries 24 \
-        --threads 4 --serve-qps 100
 """
 
 from __future__ import annotations
@@ -74,6 +65,7 @@ from repro.mapreduce.algorithm import MRDiversityMaximizer
 from repro.metricspace.blocked import set_default_memory_budget
 from repro.metricspace.doubling import estimate_doubling_dimension
 from repro.streaming.algorithm import (
+    DEFAULT_BATCH_SIZE,
     StreamingDiversityMaximizer,
     TwoPassStreamingDiversityMaximizer,
 )
@@ -81,17 +73,11 @@ from repro.service import (
     DiversityService,
     build_coreset_index,
     load_index,
-    measure_concurrent_throughput,
-    measure_service_throughput,
     save_index,
 )
 from repro.service.index import FAMILIES
 from repro.streaming.stream import ArrayStream
-from repro.tuning import (
-    DEFAULT_BATCH_SIZE,
-    recommend_batch_size,
-    recommend_matrix_budget_mb,
-)
+from repro.tuning import recommend_matrix_budget_mb
 
 GENERATORS = ("sphere-shell", "cube", "clusters", "bag-of-words")
 ALGORITHMS = ("streaming", "streaming-2pass", "mapreduce", "mapreduce-3round",
@@ -136,12 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "'process' uses the persistent worker pool with "
                           "zero-copy shared-memory partitions (identical "
                           "results, real parallelism)")
-    run.add_argument("--batch-size", type=int, default=None,
+    run.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                      help="ingest the stream in blocks of this many points "
                           "through the vectorized sketch kernel "
                           "(streaming algorithms only; same results, "
-                          "higher throughput); when omitted, auto-tuned "
-                          "from the recorded BENCH_fig3_*.json trajectory")
+                          "higher throughput; default %(default)s)")
     run.add_argument("--kernel-budget-mb", type=int, default=None,
                      help="memory budget (MiB) for blocked distance-kernel "
                           "intermediates; default 64")
@@ -216,10 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     rfr.add_argument("--out", default=None,
                      help="output index path (default: update --index "
                           "in place)")
-    rfr.add_argument("--batch-size", type=int, default=None,
+    rfr.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                      help="SMM ingestion block size for the per-rung "
-                          "sketches; when omitted, auto-tuned from the "
-                          "recorded benchmark trajectory")
+                          "sketches (default %(default)s)")
 
     reg = sub.add_parser(
         "registry",
@@ -335,39 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cast the loaded index to this dtype before "
                           "serving (default: keep its stored dtype)")
 
-    srv = sub.add_parser(
-        "serve-bench",
-        help="queries/sec: rebuild-per-query vs warm service vs LRU cache")
-    srv.add_argument("--data", required=True)
-    srv.add_argument("--k-max", type=int, default=16)
-    srv.add_argument("--queries", type=int, default=24)
-    srv.add_argument("--rebuild-queries", type=int, default=3,
-                     help="workload prefix measured under the "
-                          "rebuild-per-query baseline")
-    srv.add_argument("--parallelism", type=int, default=4)
-    srv.add_argument("--executor", choices=("serial", "thread", "process"),
-                     default="serial",
-                     help="query-execution backend for the concurrency "
-                          "sweep ('process' also builds the index through "
-                          "the MapReduce process executor); all backends "
-                          "return answers bit-identical to serial "
-                          "query_batch")
-    srv.add_argument("--threads", type=int, default=0,
-                     help="also measure query_concurrent with this many "
-                          "workers against serial query_batch (0: skip "
-                          "the sweep unless --executor is thread/process, "
-                          "which defaults it to 4)")
-    srv.add_argument("--matrix-budget-mb", type=int, default=None,
-                     help="matrix-cache budget (MiB) for the measured "
-                          "services; default: $REPRO_MATRIX_BUDGET_MB, "
-                          "else unbudgeted")
-    srv.add_argument("--serve-qps", type=float, default=0.0,
-                     help="also load-test the serving daemon end to end: "
-                          "open-loop NDJSON requests at this rate against "
-                          "an in-process repro-serve instance (0: skip)")
-    srv.add_argument("--serve-requests", type=int, default=64,
-                     help="requests sent by the --serve-qps load test")
-    srv.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -392,18 +343,6 @@ def _run(args: argparse.Namespace) -> int:
     metric = points.metric
     if args.kernel_budget_mb is not None:
         set_default_memory_budget(args.kernel_budget_mb * 2**20)
-    if (args.batch_size is None
-            and args.algorithm in ("streaming", "streaming-2pass")):
-        recommended = recommend_batch_size(default=None)
-        if recommended is not None:
-            args.batch_size = recommended
-            print(f"batch size {recommended} (auto-tuned from the benchmark "
-                  "trajectory; override with --batch-size)")
-        else:
-            args.batch_size = DEFAULT_BATCH_SIZE
-            print(f"batch size {DEFAULT_BATCH_SIZE} (default — no recorded "
-                  "trajectory; run the fig3 benchmark to auto-tune, or set "
-                  "--batch-size)")
 
     if args.algorithm == "streaming":
         algo = StreamingDiversityMaximizer(k=args.k, k_prime=k_prime,
@@ -735,89 +674,6 @@ def _serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_latency(label: str, block: dict) -> None:
-    """One aligned percentile line of a latency_summary block."""
-    if not block or not block.get("count"):
-        return
-    print(f"  {label:18s}: p50 {block['p50_ms']:8.2f} ms   "
-          f"p99 {block['p99_ms']:8.2f} ms   "
-          f"(mean {block['mean_ms']:.2f} ms, n={block['count']})")
-
-
-def _serve_bench(args: argparse.Namespace) -> int:
-    import time
-
-    points = load_points(args.data)
-    # The index build goes through the MapReduce process executor only
-    # when the query backend is 'process' too; 'thread' concerns query
-    # execution alone.
-    build_executor = "process" if args.executor == "process" else "serial"
-    # One ladder build, shared by the throughput and concurrency
-    # harnesses — the build is the dominant cost of this command.
-    started = time.perf_counter()
-    index = build_coreset_index(points, args.k_max,
-                                parallelism=args.parallelism,
-                                executor=build_executor, seed=args.seed)
-    index_build_seconds = time.perf_counter() - started
-    report = measure_service_throughput(
-        points, args.k_max, num_queries=args.queries,
-        rebuild_queries=args.rebuild_queries, parallelism=args.parallelism,
-        executor=build_executor, seed=args.seed, index=index,
-        matrix_budget_mb=args.matrix_budget_mb,
-    )
-    print(f"serve-bench: {report.num_queries} queries, k_max={args.k_max}, "
-          f"index build {index_build_seconds:.2f}s [{build_executor}]")
-    print(f"  rebuild-per-query : {report.rebuild_qps:10.1f} queries/s "
-          f"(measured over {report.rebuild_queries} queries)")
-    print(f"  warm service      : {report.warm_qps:10.1f} queries/s "
-          f"({report.warm_speedup:.1f}x)")
-    print(f"  LRU-cached replay : {report.cached_qps:10.1f} queries/s "
-          f"({report.cached_speedup:.1f}x)")
-    _print_latency("warm latency", report.warm_latency)
-    _print_latency("cached latency", report.cached_latency)
-    print(f"  core-set builds during queries: "
-          f"{report.build_calls_during_queries}")
-    if args.threads > 0 or args.executor != "serial":
-        query_executor = ("thread" if args.executor == "serial"
-                          else args.executor)
-        workers = args.threads if args.threads > 0 else 4
-        worker_counts = tuple(sorted({1, workers}))
-        concurrency = measure_concurrent_throughput(
-            points, args.k_max, num_queries=args.queries,
-            worker_counts=worker_counts, seed=args.seed,
-            matrix_budget_mb=args.matrix_budget_mb, index=index,
-            executor=query_executor,
-        )
-        print(f"  serial query_batch: {concurrency.serial_qps:10.1f} queries/s")
-        _print_latency("serial latency", concurrency.serial_latency)
-        for workers, qps in sorted(concurrency.qps_by_workers.items()):
-            label = f"{workers} {query_executor} worker"
-            label += "s" if workers > 1 else ""
-            print(f"  {label:18s}: {qps:10.1f} queries/s "
-                  f"({concurrency.speedup(workers):.2f}x vs serial)")
-            _print_latency(
-                "  solve time",
-                concurrency.solve_latency_by_workers.get(workers, {}))
-        print(f"  rung matrices computed: {concurrency.matrix_computes} "
-              f"(distinct rungs touched: {concurrency.distinct_rungs}, "
-              f"executor: {query_executor})")
-    if args.serve_qps > 0:
-        from repro.service.workload import measure_serve_latency
-
-        serve = measure_serve_latency(
-            index, num_requests=args.serve_requests,
-            rate_qps=args.serve_qps, seed=args.seed)
-        print(f"  daemon open loop  : {serve.requests} requests at "
-              f"{serve.rate_qps:.0f} req/s -> {serve.answered} answered, "
-              f"{serve.rejected} rejected, {serve.errors} errors, "
-              f"{serve.mismatches} mismatches")
-        _print_latency("daemon latency", serve.latency)
-        print(f"  daemon batching   : "
-              f"{serve.server['batches_dispatched']} dispatches, "
-              f"{serve.server['batched_requests']} requests coalesced")
-    return 0
-
-
 _COMMANDS = {
     "generate": _generate,
     "run": _run,
@@ -827,7 +683,6 @@ _COMMANDS = {
     "refresh": _refresh,
     "registry": _registry,
     "serve": _serve,
-    "serve-bench": _serve_bench,
 }
 
 

@@ -45,8 +45,6 @@ Implementation notes
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from repro.exceptions import NotFittedError, ValidationError
@@ -217,22 +215,6 @@ class SMM:
             index += 1
         while index < total:
             index = self._process_update_block(batch, index)
-
-    def process_many(self, points: np.ndarray) -> None:
-        """Deprecated alias for :meth:`process_batch`.
-
-        .. deprecated::
-            The historical implementation looped :meth:`process` row by
-            row, re-validating and reshaping every point; use
-            :meth:`process_batch`, which ingests the block vectorized with
-            identical semantics.
-        """
-        warnings.warn(
-            "SMM.process_many is deprecated; use process_batch, which "
-            "ingests the block vectorized with identical semantics",
-            DeprecationWarning, stacklevel=2,
-        )
-        self.process_batch(points)
 
     def finalize(self) -> PointSet:
         """Close the stream and return the core-set (``>= k`` points)."""

@@ -1,7 +1,7 @@
 """ASCII line charts for benchmark figures.
 
 The benchmarks print paper-style tables; for quick visual inspection in a
-terminal (or in ``benchmarks/results/``), this module renders one or more
+terminal (or in a saved result table), this module renders one or more
 ``(x, y)`` series as a fixed-size ASCII chart, one glyph per series —
 enough to see the monotone trends and crossovers the reproduction asserts.
 """

@@ -216,7 +216,7 @@ class MRDiversityMaximizer:
     def __init__(self, k: int, k_prime: int, objective: str | Objective,
                  parallelism: int = 2, metric: str | Metric = "euclidean",
                  partition_strategy: str = "random", executor: str = "serial",
-                 seed: RngLike = None, pool_mode: str = "persistent"):
+                 seed: RngLike = None):
         self.k = check_positive_int(k, "k")
         self.k_prime = check_positive_int(k_prime, "k_prime")
         if self.k_prime < self.k:
@@ -230,7 +230,7 @@ class MRDiversityMaximizer:
         # One engine per maximizer: its worker pool persists across rounds
         # and across run()/run_three_round()/run_multi_round() calls.
         self.engine = MapReduceEngine(parallelism=self.parallelism,
-                                      executor=executor, pool_mode=pool_mode)
+                                      executor=executor)
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:

@@ -14,10 +14,7 @@ process round and reused across every subsequent round and job until
 :meth:`MapReduceEngine.close` (or the context manager exit, or garbage
 collection) shuts it down.  The per-round alternative — spawn a fresh pool,
 fork workers, tear it down — costs tens of milliseconds per round and used
-to dominate the scalability benchmark; ``pool_mode="per-round"`` keeps that
-behaviour available as a measurable baseline
-(``benchmarks/bench_engine_pool.py`` gates the persistent pool's advantage
-in CI).
+to dominate the scalability benchmark.
 
 Reducer functions submitted to the process executor must be picklable
 (module-level functions); the library's algorithm module obeys this.
@@ -68,27 +65,17 @@ class MapReduceEngine:
         Optional hard cap on per-reducer memory in points; exceeding it
         raises :class:`MemoryBudgetExceededError`, which is how tests pin
         down the ``M_L`` guarantees of Theorems 6-10.
-    pool_mode:
-        ``"persistent"`` (default): one pool reused across all rounds and
-        jobs.  ``"per-round"``: a fresh pool per round — the historical
-        behaviour, kept as the baseline the engine-overhead benchmark
-        measures against.
     """
 
     def __init__(self, parallelism: int = 1, executor: str = "serial",
-                 local_memory_limit: int | None = None,
-                 pool_mode: str = "persistent"):
+                 local_memory_limit: int | None = None):
         if parallelism < 1:
             raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
         if executor not in ("serial", "process"):
             raise ValidationError(f"executor must be 'serial' or 'process', got {executor!r}")
-        if pool_mode not in ("persistent", "per-round"):
-            raise ValidationError(
-                f"pool_mode must be 'persistent' or 'per-round', got {pool_mode!r}")
         self.parallelism = parallelism
         self.executor = executor
         self.local_memory_limit = local_memory_limit
-        self.pool_mode = pool_mode
         self.stats = JobStats()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_finalizer: weakref.finalize | None = None
@@ -142,19 +129,14 @@ class MapReduceEngine:
             raise ValidationError("a MapReduce round needs at least one reducer input")
         start = time.perf_counter()
         if self.executor == "process" and len(inputs) > 1:
-            if self.pool_mode == "persistent":
-                try:
-                    outputs = list(self._ensure_pool().map(reducer, inputs))
-                except BrokenExecutor:
-                    # A dead worker (OOM kill, native crash) poisons the
-                    # whole executor.  Drop it so the next round starts a
-                    # fresh pool instead of failing forever — the
-                    # self-healing the per-round mode had by construction.
-                    self.close()
-                    raise
-            else:
-                with ProcessPoolExecutor(max_workers=self.parallelism) as pool:
-                    outputs = list(pool.map(reducer, inputs))
+            try:
+                outputs = list(self._ensure_pool().map(reducer, inputs))
+            except BrokenExecutor:
+                # A dead worker (OOM kill, native crash) poisons the
+                # whole executor.  Drop it so the next round starts a
+                # fresh pool instead of failing forever.
+                self.close()
+                raise
         else:
             outputs = [reducer(payload) for payload in inputs]
         wall = time.perf_counter() - start

@@ -64,19 +64,7 @@ from repro.service.service import (
     Query,
     QueryResult,
 )
-from repro.service.workload import (
-    ConcurrencyReport,
-    MixedWorkloadReport,
-    ServeLatencyReport,
-    ThroughputReport,
-    latency_summary,
-    make_workload,
-    measure_concurrent_throughput,
-    measure_mixed_workload,
-    measure_serve_latency,
-    measure_service_throughput,
-    open_loop_load,
-)
+from repro.service.workload import latency_summary, make_workload
 
 __all__ = [
     "CacheStats",
@@ -122,15 +110,6 @@ __all__ = [
     "DiversityService",
     "Query",
     "QueryResult",
-    "ConcurrencyReport",
-    "MixedWorkloadReport",
-    "ServeLatencyReport",
-    "ThroughputReport",
     "latency_summary",
     "make_workload",
-    "measure_concurrent_throughput",
-    "measure_mixed_workload",
-    "measure_serve_latency",
-    "measure_service_throughput",
-    "open_loop_load",
 ]

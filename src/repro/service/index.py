@@ -250,8 +250,8 @@ class CoresetIndex:
         new_points:
             Fresh data in the same metric space as the indexed dataset.
         batch_size:
-            Sketch ingestion block size; ``None`` uses the auto-tuned
-            :func:`repro.tuning.recommend_batch_size` recommendation.
+            Sketch ingestion block size; ``None`` uses
+            :data:`repro.streaming.algorithm.DEFAULT_BATCH_SIZE`.
         compact_above:
             Per-rung point-count threshold above which the merged
             core-set is re-reduced; ``None`` derives the cold-build bound

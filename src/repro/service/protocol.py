@@ -129,14 +129,12 @@ class Request:
 
 
 def _coerce_query(payload: object) -> Query:
-    """One wire query — a Query dict or a legacy [objective, k, eps] list."""
+    """One wire query: a :meth:`Query.to_dict` payload."""
     if isinstance(payload, dict):
         return Query.from_dict(payload)
-    if isinstance(payload, (list, tuple)) and len(payload) in (2, 3):
-        epsilon = float(payload[2]) if len(payload) == 3 else 1.0
-        return Query(str(payload[0]), int(payload[1]), epsilon)
     raise ProtocolError(ERROR_BAD_REQUEST,
-                        f"cannot interpret query payload {payload!r}")
+                        f"cannot interpret query payload {payload!r}; "
+                        "send a Query object")
 
 
 def decode_request(line: str | bytes) -> Request:

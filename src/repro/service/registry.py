@@ -63,7 +63,7 @@ from repro.service.qos import TenantQuota
 from repro.service.service import (
     SCHEMA_VERSION,
     DiversityService,
-    QueryLike,
+    Query,
     QueryResult,
 )
 from repro.utils.validation import check_positive_int
@@ -395,7 +395,7 @@ class IndexRegistry:
         with self.attach(self._resolve(dataset_id)) as service:
             return service.query(objective, k, epsilon)
 
-    def query_batch(self, queries: Iterable[QueryLike],
+    def query_batch(self, queries: Iterable[Query],
                     dataset_id: str | None = None, *,
                     executor: str | None = None) -> list[QueryResult]:
         """Answer a batch against one tenant (``None``: sole tenant).

@@ -55,10 +55,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -131,9 +130,8 @@ class Query:
 
     This dataclass is the canonical request schema: :meth:`to_dict` /
     :meth:`from_dict` round-trip it through JSON-ready dicts carrying a
-    ``schema_version`` field, and every query entry point accepts
-    :class:`Query` instances (bare ``(objective, k[, epsilon])`` tuples
-    are still understood but deprecated).
+    ``schema_version`` field, and every query entry point takes
+    :class:`Query` instances.
     """
 
     objective: str
@@ -150,22 +148,18 @@ class Query:
         """Rebuild a :class:`Query` from a :meth:`to_dict` payload.
 
         A missing ``schema_version`` is read as the current version (the
-        ergonomic wire form); an unknown one raises
+        ergonomic wire form); an unknown one, or a ``k`` that is not a
+        positive int (``4.7``, ``true`` and ``"4"`` included), raises
         :class:`~repro.exceptions.ValidationError`.
         """
         _check_schema_version(payload, "Query")
         try:
             objective = str(payload["objective"])
-            k = int(payload["k"])
+            k = check_positive_int(payload["k"], "k")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(
                 f"malformed Query payload {payload!r}: {exc}") from exc
         return cls(objective, k, float(payload.get("epsilon", 1.0)))
-
-
-#: Accepted query spellings: a :class:`Query` or a deprecated
-#: ``(objective, k[, epsilon])`` tuple/list.
-QueryLike = Union[Query, tuple, list]
 
 
 @dataclass(frozen=True)
@@ -546,7 +540,7 @@ class DiversityService:
         return self.query_batch([Query(get_objective(objective).name, k,
                                        epsilon)])[0]
 
-    def query_batch(self, queries: Iterable[QueryLike], *,
+    def query_batch(self, queries: Iterable[Query], *,
                     executor: str | None = None) -> list[QueryResult]:
         """Answer many requests, sharing work across them.
 
@@ -563,7 +557,7 @@ class DiversityService:
         return self._execute(queries, executor, self.executor_workers,
                              concurrent=False)
 
-    def query_concurrent(self, queries: Iterable[QueryLike],
+    def query_concurrent(self, queries: Iterable[Query],
                          max_workers: int = 4,
                          executor: str | None = None) -> list[QueryResult]:
         """Answer many requests on a worker pool, sharing cached state.
@@ -587,7 +581,7 @@ class DiversityService:
         check_positive_int(max_workers, "max_workers")
         return self._execute(queries, executor, max_workers, concurrent=True)
 
-    def _execute(self, queries: Iterable[QueryLike], executor: str | None,
+    def _execute(self, queries: Iterable[Query], executor: str | None,
                  max_workers: int, concurrent: bool) -> list[QueryResult]:
         """Common query funnel: normalize, snapshot, route, dispatch, count.
 
@@ -601,12 +595,6 @@ class DiversityService:
         default — except that concurrent calls on a serial-default
         service run on ``thread``.
         """
-        queries = list(queries)
-        if any(isinstance(query, (tuple, list)) for query in queries):
-            warnings.warn(
-                "bare-tuple queries are deprecated; pass "
-                "repro.service.Query objects (schema_version "
-                f"{SCHEMA_VERSION})", DeprecationWarning, stacklevel=3)
         normalized = [self._normalize(query) for query in queries]
         if not normalized:
             if not concurrent:
@@ -980,18 +968,13 @@ class DiversityService:
 
     @staticmethod
     def _normalize(query) -> Query:
-        """Coerce a :data:`QueryLike` into a validated :class:`Query`."""
-        if isinstance(query, Query):
-            objective = get_objective(query.objective).name
-            query = Query(objective, query.k, query.epsilon)
-        elif isinstance(query, (tuple, list)) and len(query) in (2, 3):
-            objective = get_objective(query[0]).name
-            epsilon = float(query[2]) if len(query) == 3 else 1.0
-            query = Query(objective, int(query[1]), epsilon)
-        else:
+        """Validate a :class:`Query`, canonicalizing its objective name."""
+        if not isinstance(query, Query):
             raise ValidationError(
-                f"cannot interpret query {query!r}; pass a Query or an "
-                "(objective, k[, epsilon]) tuple")
+                f"cannot interpret query {query!r}; pass a "
+                "repro.service.Query")
+        query = Query(get_objective(query.objective).name, query.k,
+                      query.epsilon)
         check_positive_int(query.k, "k")
         check_in_range(query.epsilon, "epsilon", 0.0, 1.0)
         return query

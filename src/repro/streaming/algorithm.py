@@ -32,6 +32,10 @@ from repro.streaming.stream import ArrayStream, Stream
 from repro.streaming.throughput import measure_throughput
 from repro.utils.validation import as_float_array, check_positive_int
 
+#: Ingestion block size used when a caller gives none.  Batched and
+#: per-point ingestion build the same sketch, so this only sets speed.
+DEFAULT_BATCH_SIZE = 1024
+
 
 def stream_coreset(source: Stream | PointSet | np.ndarray, k: int,
                    k_prime: int, objective: str | Objective = "remote-edge",
@@ -60,8 +64,7 @@ def stream_coreset(source: Stream | PointSet | np.ndarray, k: int,
         Metric override; defaults to the point set's own metric
         (``"euclidean"`` for raw arrays and streams).
     batch_size:
-        Ingestion block size; when omitted, the auto-tuned
-        :func:`repro.tuning.recommend_batch_size` recommendation is used.
+        Ingestion block size, default :data:`DEFAULT_BATCH_SIZE`.
         Batched and per-point ingestion produce identical sketches.
     """
     objective = get_objective(objective)
@@ -75,9 +78,7 @@ def stream_coreset(source: Stream | PointSet | np.ndarray, k: int,
         stream = ArrayStream(as_float_array(source))
     metric = get_metric("euclidean" if metric is None else metric)
     if batch_size is None:
-        from repro.tuning import DEFAULT_BATCH_SIZE, recommend_batch_size
-
-        batch_size = recommend_batch_size(default=DEFAULT_BATCH_SIZE)
+        batch_size = DEFAULT_BATCH_SIZE
     maximizer = StreamingDiversityMaximizer(k=k, k_prime=k_prime,
                                             objective=objective,
                                             metric=metric,

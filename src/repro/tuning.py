@@ -9,21 +9,14 @@ giving users a one-call starting point instead of a guess.
 
 :func:`recommend_tile_rows` plays the same role for the blocked
 distance-kernel layer: given a metric and a cross-product shape it derives
-the row-tile size from a memory budget, and the benchmark harness records
-the chosen tiling in the ``BENCH_*.json`` trajectory so kernel-layer
-regressions are visible per PR.  Derived tilings additionally persist to
-a per-machine profile (``.repro_profile.json``, ``REPRO_PROFILE_PATH`` to
-relocate) that later runs reuse, and :func:`recommend_batch_size` feeds
-the recorded ``BENCH_fig3_*.json`` trajectory back into the SMM family's
-ingestion batch size (the CLI's ``--batch-size`` default).
+the row-tile size from a memory budget, as a recordable
+:class:`KernelTuning`.  It is a pure function of its arguments: nothing is
+read from or written to disk.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -313,122 +306,20 @@ class KernelTuning:
     dtype: str = "float64"
 
     def as_dict(self) -> dict:
-        """JSON-ready form, recorded into ``BENCH_*.json`` trajectories."""
+        """JSON-ready form, for benchmarks to record beside wall times."""
         return asdict(self)
-
-
-# -- per-machine tile profile --------------------------------------------------
-#
-# The ``kernel_tuning`` blocks benchmarks record into ``BENCH_*.json`` are a
-# per-PR trajectory; the *profile* is the per-machine distillation: every
-# tiling :func:`recommend_tile_rows` derives is keyed by
-# ``metric:shape:budget`` and persisted to ``.repro_profile.json`` (path
-# overridable via ``REPRO_PROFILE_PATH``), so later runs on the same machine
-# reuse the recorded tiling instead of re-deriving it.
-
-PROFILE_ENV_VAR = "REPRO_PROFILE_PATH"
-DEFAULT_PROFILE_FILENAME = ".repro_profile.json"
-# Version 2: entries gained a ``dtype`` field and keys a ``:dtype=``
-# component — float64-derived tilings must not be replayed for float32
-# workloads (they would leave half the budgeted tile width unused).
-# Version 3: the profile gained a top-level ``planner_calibration`` block,
-# which no code reads any more.  v2 and v3 share the ``kernel_tuning``
-# layout, so both load; saves keep the block like any other unknown one.
-_PROFILE_FORMAT_VERSION = 3
-_COMPATIBLE_PROFILE_VERSIONS = (2, 3)
-
-
-def tile_profile_path() -> Path:
-    """Resolved profile location (env override, else CWD dotfile)."""
-    return Path(os.environ.get(PROFILE_ENV_VAR) or DEFAULT_PROFILE_FILENAME)
-
-
-def _profile_key(metric_name: str, n_rows: int, n_cols: int, dim: int,
-                 budget_bytes: int, dtype: str = "float64") -> str:
-    return (f"{metric_name}:{n_rows}x{n_cols}x{dim}"
-            f":budget={budget_bytes}:dtype={dtype}")
-
-
-def _read_profile_payload(path: Path) -> dict:
-    """The raw profile payload, or ``{}`` for any unusable file.
-
-    Reads are best-effort by design: a missing, truncated or foreign file
-    must never break a caller, so malformed profiles degrade to "no
-    profile" rather than raising.  Files of an incompatible format
-    version (pre-dtype v1, or anything newer than this build writes) are
-    treated as absent — old entries must not pin outdated derivations.
-    """
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return {}
-    if not isinstance(payload, dict):
-        return {}
-    if payload.get("format_version") not in _COMPATIBLE_PROFILE_VERSIONS:
-        return {}
-    return payload
-
-
-def load_tile_profile(path: str | Path | None = None) -> dict[str, dict]:
-    """The profile's ``kernel_tuning`` entries (empty on any read problem)."""
-    path = tile_profile_path() if path is None else Path(path)
-    entries = _read_profile_payload(path).get("kernel_tuning")
-    return entries if isinstance(entries, dict) else {}
-
-
-def save_tile_profile(entries: dict[str, dict],
-                      path: str | Path | None = None) -> Path:
-    """Write the profile atomically (temp file + ``os.replace``).
-
-    Concurrent writers (a benchmark run and a CLI run sharing the default
-    profile) may interleave, but a reader can never observe a torn file —
-    the failure mode that would silently reset the accumulated profile.
-    Other top-level blocks of a compatible file are preserved; the write
-    upgrades the file to the current format.
-    """
-    path = tile_profile_path() if path is None else Path(path)
-    payload = _read_profile_payload(path)
-    payload.update({"format_version": _PROFILE_FORMAT_VERSION,
-                    "kernel_tuning": entries})
-    tmp = path.parent / f"{path.name}.tmp{os.getpid()}"
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-    return path
-
-
-def record_kernel_tuning(tuning: KernelTuning, n_rows: int, n_cols: int,
-                         dim: int, path: str | Path | None = None) -> None:
-    """Merge one derived tiling into the per-machine profile (best effort).
-
-    IO failures (read-only checkout, sandboxed CI) are swallowed: the
-    profile is an accelerator, never a requirement.
-    """
-    key = _profile_key(tuning.metric, n_rows, n_cols, dim,
-                       tuning.memory_budget_bytes, tuning.dtype)
-    try:
-        entries = load_tile_profile(path)
-        entries[key] = tuning.as_dict()
-        save_tile_profile(entries, path)
-    except OSError:
-        pass
 
 
 def recommend_tile_rows(metric: str | Metric, n_rows: int, n_cols: int,
                         dim: int,
                         memory_budget_bytes: int | None = None,
-                        use_profile: bool = True,
                         dtype: str | np.dtype = "float64") -> KernelTuning:
     """Tile sizing for a blocked ``cross``/``pairwise`` of the given shape.
 
     Thin, recordable wrapper over
     :func:`repro.metricspace.blocked.tile_rows_for`: benchmarks call this
-    once per workload and embed the result in their ``BENCH_*.json``
-    payloads so the tuning trajectory is versioned alongside wall times.
-
-    With *use_profile* (the default) the per-machine profile is consulted
-    first — an exact ``metric:shape:budget`` match short-circuits the
-    derivation — and the derived tiling is recorded back on a miss, so
-    repeated runs on one machine converge on a stable, shared tiling.
+    once per workload and embed the result in their result payloads so
+    the tiling is versioned alongside wall times.
     """
     metric = get_metric(metric)
     check_positive_int(n_rows, "n_rows")
@@ -437,20 +328,9 @@ def recommend_tile_rows(metric: str | Metric, n_rows: int, n_cols: int,
     dtype = np.dtype(dtype)
     budget = (get_default_memory_budget() if memory_budget_bytes is None
               else check_positive_int(memory_budget_bytes, "memory_budget_bytes"))
-    if use_profile:
-        entry = load_tile_profile().get(
-            _profile_key(metric.name, n_rows, n_cols, dim, budget, str(dtype)))
-        if entry is not None:
-            try:
-                tuning = KernelTuning(**entry)
-                if (tuning.tile_rows >= 1 and tuning.metric == metric.name
-                        and tuning.dtype == str(dtype)):
-                    return tuning
-            except TypeError:
-                pass  # stale profile written by an older layout
     tile = tile_rows_for(metric, n_rows, n_cols, dim, budget,
                          itemsize=dtype.itemsize)
-    tuning = KernelTuning(
+    return KernelTuning(
         metric=metric.name,
         tile_rows=tile,
         tiles=int(np.ceil(n_rows / tile)),
@@ -458,87 +338,3 @@ def recommend_tile_rows(metric: str | Metric, n_rows: int, n_cols: int,
         accumulating=metric.accumulates_per_dimension,
         dtype=str(dtype),
     )
-    if use_profile:
-        record_kernel_tuning(tuning, n_rows, n_cols, dim)
-    return tuning
-
-
-# -- batch-size auto-tuning from the recorded benchmark trajectory -------------
-
-BATCH_RESULTS_ENV_VAR = "REPRO_BENCH_RESULTS_DIR"
-DEFAULT_BATCH_SIZE = 1024
-
-
-def _batch_observations(directory: Path) -> list[tuple[int, float]]:
-    """``(batch_size, speedup)`` pairs recorded in ``BENCH_fig3_*.json``."""
-    observations: list[tuple[int, float]] = []
-    for path in sorted(directory.glob("BENCH_fig3_*.json")):
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if not isinstance(payload, dict):
-            continue
-        if isinstance(payload.get("sweep"), list):
-            # The speedup probe's batch-size sweep: the richest signal.
-            for entry in payload["sweep"]:
-                if (isinstance(entry, dict)
-                        and isinstance(entry.get("batch_size"), int)
-                        and entry["batch_size"] >= 1
-                        and isinstance(entry.get("speedup"), (int, float))):
-                    observations.append((entry["batch_size"],
-                                         float(entry["speedup"])))
-            continue
-        batch_size = payload.get("batch_size")
-        if not isinstance(batch_size, int) or batch_size < 1:
-            continue
-        if isinstance(payload.get("speedup"), (int, float)):
-            # Single-point speedup record (pre-sweep layout).
-            observations.append((batch_size, float(payload["speedup"])))
-        elif isinstance(payload.get("cells"), list):
-            # The throughput sweep: average the per-cell ratios.
-            ratios = [cell["batched_pps"] / cell["per_point_pps"]
-                      for cell in payload["cells"]
-                      if isinstance(cell, dict)
-                      and isinstance(cell.get("per_point_pps"), (int, float))
-                      and cell["per_point_pps"] > 0
-                      and isinstance(cell.get("batched_pps"), (int, float))]
-            if ratios:
-                observations.append((batch_size, float(np.mean(ratios))))
-    return observations
-
-
-def recommend_batch_size(results_dir: str | Path | None = None,
-                         default: int | None = DEFAULT_BATCH_SIZE) -> int | None:
-    """SMM-family ingestion batch size, tuned from the benchmark trajectory.
-
-    Scans ``BENCH_fig3_*.json`` (the throughput sweep and the batched-
-    speedup gate CI records every PR) for measured ``(batch_size, speedup)``
-    observations and returns the batch size with the best speedup — or
-    ``1`` (per-point ingestion) should the trajectory ever show batching
-    losing.  With no trajectory available, returns *default* (pass
-    ``default=None`` to distinguish "no measurement" from a genuine
-    recommendation, as the CLI does).  An explicit
-    *results_dir* (or ``$REPRO_BENCH_RESULTS_DIR``) is authoritative;
-    otherwise ``benchmarks/results`` is probed under the CWD, then under
-    the repo root.  The CLI uses this as the ``--batch-size`` default, so
-    a machine that has run the benchmarks streams at its own measured
-    sweet spot.
-    """
-    env = os.environ.get(BATCH_RESULTS_ENV_VAR)
-    if results_dir is not None:
-        candidates = [Path(results_dir)]
-    elif env:
-        candidates = [Path(env)]
-    else:
-        candidates = [Path("benchmarks") / "results",
-                      Path(__file__).resolve().parents[2]
-                      / "benchmarks" / "results"]
-    for directory in candidates:
-        if not directory.is_dir():
-            continue
-        observations = _batch_observations(directory)
-        if observations:
-            batch_size, speedup = max(observations, key=lambda pair: pair[1])
-            return int(batch_size) if speedup >= 1.0 else 1
-    return None if default is None else check_positive_int(default, "default")

@@ -8,17 +8,6 @@ import pytest
 from repro.metricspace.points import PointSet
 
 
-@pytest.fixture(autouse=True)
-def _isolated_tile_profile(tmp_path, monkeypatch):
-    """Point the per-machine kernel-tile profile at a throwaway location.
-
-    ``recommend_tile_rows`` persists measured tilings to
-    ``.repro_profile.json`` by default; tests must neither read a
-    developer's real profile nor litter the working tree with one.
-    """
-    monkeypatch.setenv("REPRO_PROFILE_PATH", str(tmp_path / "profile.json"))
-
-
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -118,36 +118,10 @@ class TestRun:
 
 
 class TestAutoBatchSize:
-    def test_run_streaming_auto_tunes_when_flag_omitted(
-            self, dataset, tmp_path, monkeypatch, capsys):
-        import json
-
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "BENCH_fig3_batched_speedup.json").write_text(
-            json.dumps({"batch_size": 256, "speedup": 9.0}))
-        monkeypatch.setenv("REPRO_BENCH_RESULTS_DIR", str(results))
-        assert main(["run", "streaming", "--data", str(dataset),
-                     "--k", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "batch size 256 (auto-tuned" in out
-        assert "value =" in out
-
     def test_explicit_flag_suppresses_auto_tuning(self, dataset, capsys):
         assert main(["run", "streaming", "--data", str(dataset), "--k", "4",
                      "--batch-size", "64"]) == 0
         assert "auto-tuned" not in capsys.readouterr().out
-
-    def test_no_trajectory_reports_default_not_auto_tuned(
-            self, dataset, tmp_path, monkeypatch, capsys):
-        empty = tmp_path / "results"
-        empty.mkdir()
-        monkeypatch.setenv("REPRO_BENCH_RESULTS_DIR", str(empty))
-        assert main(["run", "streaming", "--data", str(dataset),
-                     "--k", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "batch size 1024 (default" in out
-        assert "auto-tuned" not in out
 
 
 class TestServiceVerbs:
@@ -175,38 +149,6 @@ class TestServiceVerbs:
         out = capsys.readouterr().out
         assert "rung gmm" in out
         assert "gmm-ext" not in out
-
-    def test_serve_bench(self, dataset, capsys):
-        assert main(["serve-bench", "--data", str(dataset), "--k-max", "4",
-                     "--queries", "6", "--rebuild-queries", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "rebuild-per-query" in out
-        assert "warm service" in out
-        assert "LRU-cached replay" in out
-        assert "core-set builds during queries: 0" in out
-        assert "worker" not in out  # --threads off by default
-
-    def test_serve_bench_threads(self, dataset, capsys):
-        assert main(["serve-bench", "--data", str(dataset), "--k-max", "4",
-                     "--queries", "6", "--rebuild-queries", "2",
-                     "--threads", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "serial query_batch" in out
-        assert "2 thread workers" in out
-        assert "rung matrices computed" in out
-        assert "executor: thread" in out
-
-    def test_serve_bench_process_executor(self, dataset, capsys):
-        # The acceptance-criterion path: the query sweep runs on worker
-        # processes over the shared-memory plane (the harness itself
-        # asserts bit-identity to serial query_batch and zero builds).
-        assert main(["serve-bench", "--data", str(dataset), "--k-max", "4",
-                     "--queries", "6", "--rebuild-queries", "1",
-                     "--threads", "1", "--executor", "process"]) == 0
-        out = capsys.readouterr().out
-        assert "index build" in out and "[process]" in out
-        assert "1 process worker" in out
-        assert "executor: process" in out
 
     def test_query_matrix_budget(self, dataset, tmp_path, capsys):
         idx = tmp_path / "idx"

@@ -54,10 +54,6 @@ class TestEngine:
         with pytest.raises(ValidationError):
             MapReduceEngine(parallelism=0)
 
-    def test_bad_pool_mode_rejected(self):
-        with pytest.raises(ValidationError):
-            MapReduceEngine(pool_mode="thread-local")
-
     def test_begin_job_isolates_stats(self):
         engine = MapReduceEngine()
         engine.run_round([[1]], lambda xs: xs)
@@ -84,12 +80,6 @@ class TestPersistentPool:
             assert outputs == [[10], [12]]
             assert engine._pool is pool
         assert engine._pool is None  # context exit closed it
-
-    def test_per_round_mode_spawns_no_persistent_pool(self):
-        engine = MapReduceEngine(parallelism=2, executor="process",
-                                 pool_mode="per-round")
-        assert engine.run_round([[1], [2]], _double) == [[2], [4]]
-        assert engine._pool is None
 
     def test_closed_engine_reopens_on_demand(self):
         engine = MapReduceEngine(parallelism=2, executor="process")

@@ -20,7 +20,10 @@ toolchain).  Covered contracts:
   tenant only, and single-index daemons reject tenant routing;
 * dispatch groups a coalesced batch by dataset alone — one
   ``query_batch`` call per dataset, whatever its queries' objectives,
-  k or rungs.
+  k or rungs;
+* a wire ``k`` that is not a positive int is refused at decode with
+  ``bad_request`` (HTTP 400), and the valid requests batched beside it
+  are still answered.
 """
 
 from __future__ import annotations
@@ -532,6 +535,45 @@ def test_single_index_server_rejects_tenant_routing(index):
     assert "--registry" in by_id[1]["error"]["message"]
     assert by_id[2]["error"]["code"] == "bad_request"
     assert missing[0] == 404  # no /tenants route on a single-index daemon
+
+
+@pytest.mark.parametrize("k", [4.7, True, 0],
+                         ids=["fractional", "bool", "zero"])
+def test_bad_wire_k_is_rejected_without_failing_its_batch(index, k):
+    # 4.7 must not be answered as k=4, nor true as k=1; and a zero k
+    # must not fail the valid requests coalesced into its batch.
+    query = Query("remote-edge", 4, 1.0)
+    with DiversityService(index, cache_size=16) as oracle:
+        expected = result_key(oracle.query_batch([query])[0])
+    bad = {"queries": [{"objective": "remote-edge", "k": k}]}
+
+    async def run():
+        server = fresh_server(index, batch_window_ms=20.0)
+        host, port = await server.start()
+        try:
+            responses = await send_lines(host, port, [
+                protocol.encode_request("query", 0, queries=[query]),
+                json.dumps({"kind": "query", "id": 1, **bad}) + "\n",
+                protocol.encode_request("query", 2, queries=[query])])
+            http = await _http(host, port, "POST", "/query",
+                               json.dumps(bad).encode())
+        finally:
+            await server.shutdown()
+        return responses, http, server.stats()["server"]
+
+    responses, http, stats = asyncio.run(run())
+    by_id = {r["id"]: r for r in responses}
+    # Refused at decode, before the request id is read.
+    assert by_id[None]["error"]["code"] == "bad_request"
+    for request_id in (0, 2):
+        assert by_id[request_id]["ok"]
+        assert result_key(protocol.results_of(by_id[request_id])[0]) \
+            == expected
+    assert http[0] == 400
+    assert http[1]["error"]["code"] == "bad_request"
+    assert stats["accepted"] == 2
+    assert stats["bad_requests"] == 2
+    assert stats["internal_errors"] == 0
 
 
 def _dispatch_one_batch(make_server, requests):

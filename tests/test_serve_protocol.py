@@ -3,8 +3,8 @@
 Covers the API-redesign contract: ``Query``/``QueryResult`` round-trip
 through their canonical dict forms bit-exactly (every field, including
 ``cached``/``eps_hit``/``epoch``), unknown schema versions are rejected,
-bare-tuple queries warn with ``DeprecationWarning``, and the NDJSON
-envelope decoder classifies malformed input with the right error codes.
+anything but a ``Query`` is rejected as a query, and the NDJSON envelope
+decoder classifies malformed input with the right error codes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.service import SCHEMA_VERSION, DiversityService, Query, QueryResult
+from repro.service import (
+    SCHEMA_VERSION,
+    DiversityService,
+    IndexRegistry,
+    Query,
+    QueryResult,
+)
 from repro.service import protocol
 from repro.service.protocol import ProtocolError
 from repro.service.workload import latency_summary
@@ -47,9 +53,21 @@ def test_query_from_dict_rejects_unknown_schema_version():
                          "objective": "remote-edge", "k": 3})
 
 
-def test_query_from_dict_rejects_malformed_payload():
+@pytest.mark.parametrize("payload", [
+    {"objective": "remote-edge"},
+    {"objective": "remote-edge", "k": 4.7},
+    {"objective": "remote-edge", "k": True},
+    {"objective": "remote-edge", "k": "4"},
+    {"objective": "remote-edge", "k": 4.0},
+    {"objective": "remote-edge", "k": 0},
+    {"objective": "remote-edge", "k": -3},
+], ids=["no-k", "fractional-k", "bool-k", "string-k", "float-k", "zero-k",
+        "negative-k"])
+def test_query_from_dict_rejects_malformed_payload(payload):
+    # k is validated like an in-process Query's, never truncated: 4.7
+    # must not be answered as k=4, nor true as k=1.
     with pytest.raises(ValidationError, match="malformed"):
-        Query.from_dict({"objective": "remote-edge"})  # no k
+        Query.from_dict(payload)
 
 
 # ----------------------------------------------------------- QueryResult
@@ -101,34 +119,78 @@ def test_query_result_from_dict_rejects_bad_version_and_shape(service):
                                if k != "value"})
 
 
-def test_bare_tuple_queries_warn_deprecation(service):
-    with pytest.warns(DeprecationWarning, match="bare-tuple"):
-        results = service.query_batch([("remote-edge", 3)])
-    assert results[0].k == 3
-    with pytest.warns(DeprecationWarning, match="bare-tuple"):
-        service.query_concurrent([("remote-edge", 3, 1.0)], max_workers=1)
+BARE_SEQUENCES = pytest.mark.parametrize(
+    "query", [("remote-edge", 3), ["remote-edge", 3, 1.0]],
+    ids=["tuple", "list"])
+
+
+@BARE_SEQUENCES
+def test_query_batch_rejects_bare_sequences(service, query):
+    with pytest.raises(ValidationError, match="Query"):
+        service.query_batch([query])
+
+
+@BARE_SEQUENCES
+def test_query_concurrent_rejects_bare_sequences(service, query):
+    with pytest.raises(ValidationError, match="Query"):
+        service.query_concurrent([query], max_workers=1)
+
+
+@BARE_SEQUENCES
+def test_registry_query_batch_rejects_bare_sequences(service, query):
+    with IndexRegistry() as registry:
+        registry.register("eu", service.index)
+        with pytest.raises(ValidationError, match="Query"):
+            registry.query_batch([query], "eu")
 
 
 def test_query_objects_do_not_warn(service):
+    query = Query("remote-edge", 3, 1.0)
+    service.query_batch([query])
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        results = service.query_batch([Query("remote-edge", 3, 1.0)])
-    assert results[0].cached  # warmed by the tuple test above
+        results = service.query_batch([query])
+    assert results[0].cached
 
 
 # -------------------------------------------------------- wire envelope
 
 
-def test_decode_request_query_with_dict_and_legacy_payloads():
+def test_decode_request_query_with_query_and_dict_payloads():
     line = protocol.encode_request(
         "query", 5, queries=[Query("remote-edge", 4, 1.0),
-                             {"objective": "remote-clique", "k": 3},
-                             ["remote-edge", 2]])
+                             {"objective": "remote-clique", "k": 3}])
     request = protocol.decode_request(line)
     assert request.kind == "query" and request.id == 5
     assert request.queries == (Query("remote-edge", 4, 1.0),
-                               Query("remote-clique", 3, 1.0),
-                               Query("remote-edge", 2, 1.0))
+                               Query("remote-clique", 3, 1.0))
+
+
+def test_decode_request_rejects_list_queries():
+    with pytest.raises(ProtocolError) as exc:
+        protocol.decode_request(protocol.encode_request(
+            "query", 5, queries=[["remote-edge", 2]]))
+    assert exc.value.code == protocol.ERROR_BAD_REQUEST
+
+
+@pytest.mark.parametrize("k", [4.7, True, "4", 4.0],
+                         ids=["fractional", "bool", "string", "float"])
+def test_decode_request_rejects_non_int_k(k):
+    with pytest.raises(ProtocolError) as exc:
+        protocol.decode_request(json.dumps(
+            {"kind": "query",
+             "queries": [{"objective": "remote-edge", "k": k}]}))
+    assert exc.value.code == protocol.ERROR_BAD_REQUEST
+
+
+@pytest.mark.parametrize("k", [0, -3], ids=["zero", "negative"])
+def test_decode_request_rejects_non_positive_k(k):
+    with pytest.raises(ProtocolError) as exc:
+        protocol.decode_request(json.dumps(
+            {"kind": "query",
+             "queries": [{"objective": "remote-edge", "k": k}]}))
+    assert exc.value.code == protocol.ERROR_BAD_REQUEST
+    assert "positive" in str(exc.value)
 
 
 def test_decode_request_single_query_sugar():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.coresets.composable import ladder_parameters, practical_coreset_size
-from repro.datasets.synthetic import gaussian_clusters, sphere_shell
+from repro.datasets.synthetic import sphere_shell
 from repro.diversity.objectives import list_objectives
 from repro.diversity.sequential.registry import solve_sequential
 from repro.exceptions import ValidationError
@@ -23,7 +23,6 @@ from repro.service import (
     family_of,
     load_index,
     make_workload,
-    measure_service_throughput,
     save_index,
 )
 
@@ -595,25 +594,3 @@ class TestWorkload:
 
     def test_workload_reproducible(self):
         assert make_workload(8, 10, seed=3) == make_workload(8, 10, seed=3)
-
-    def test_throughput_harness_accepts_prebuilt_index(self):
-        points = gaussian_clusters(2000, centers=4, dim=3, seed=3)
-        index = build_coreset_index(points, 8, k_min=4, seed=0)
-        report = measure_service_throughput(points, 8, num_queries=6,
-                                            rebuild_queries=1, index=index,
-                                            seed=0)
-        assert report.build_calls_during_queries == 0
-        assert report.index_build_seconds < 0.05  # no rebuild happened
-
-    def test_throughput_harness_contract(self):
-        points = gaussian_clusters(4000, centers=6, dim=3, seed=2)
-        report = measure_service_throughput(points, k_max=8, num_queries=8,
-                                            rebuild_queries=2, k_min=4,
-                                            parallelism=2, seed=0)
-        assert report.num_queries == 8
-        assert report.build_calls_during_queries == 0
-        assert report.rebuild_qps > 0 and report.warm_qps > 0
-        assert report.cached_qps > report.warm_qps
-        payload = report.as_dict()
-        assert payload["warm_speedup"] == pytest.approx(report.warm_speedup)
-        assert payload["cache"]["hits"] >= 8

@@ -34,7 +34,6 @@ from repro.service import (
     build_coreset_index,
     make_workload,
     matrix_budget_from_env,
-    measure_concurrent_throughput,
 )
 
 
@@ -376,19 +375,6 @@ class TestQueryConcurrent:
         service.query_concurrent(queries, max_workers=8)
         assert len(pairwise_calls) == len(rungs)
         assert service.stats()["matrices"]["local"]["computes"] == len(rungs)
-
-    def test_harness_contract(self, dataset):
-        # matrix_budget_mb=0 pins the run to unbudgeted so an ambient
-        # REPRO_MATRIX_BUDGET_MB cannot turn single-flight computes into
-        # budget-driven recomputes under the exactly-once assertion.
-        report = measure_concurrent_throughput(
-            dataset, 8, num_queries=10, worker_counts=(1, 2), k_min=4,
-            seed=0, matrix_budget_mb=0)
-        payload = report.as_dict()
-        assert payload["build_calls_during_queries"] == 0
-        assert payload["matrix_computes"] == payload["distinct_rungs"]
-        assert set(payload["workers"]) == {"1", "2"}
-        assert all(block["qps"] > 0 for block in payload["workers"].values())
 
 
 # -- budgeted service ---------------------------------------------------------

@@ -191,27 +191,3 @@ class TestBatchInterface:
     def test_three_dimensional_input_rejected(self):
         with pytest.raises(ValidationError):
             SMM(k=2, k_prime=4).process_batch(np.zeros((2, 3, 4)))
-
-    def test_process_many_is_deprecated_alias(self, rng):
-        data = _make_stream(rng, 120, 2, "gaussian")
-        old, new = SMM(3, 6), SMM(3, 6)
-        with pytest.warns(DeprecationWarning, match="process_batch"):
-            old.process_many(data)
-        new.process_batch(data)
-        _assert_same_state(new, old)
-
-    @pytest.mark.parametrize("sketch_cls", SKETCHES)
-    def test_process_many_deprecated_across_family(self, rng, sketch_cls):
-        """Every sketch in the family warns and matches process_batch."""
-        data = _make_stream(rng, 150, 3, "duplicates")
-        old, new = sketch_cls(3, 9), sketch_cls(3, 9)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            old.process_many(data)
-        new.process_batch(data)
-        _assert_same_state(new, old)
-        if sketch_cls is SMMGen:
-            ours, theirs = old.finalize_generalized(), new.finalize_generalized()
-            assert np.array_equal(ours.points, theirs.points)
-            assert np.array_equal(ours.multiplicities, theirs.multiplicities)
-        else:
-            assert np.array_equal(old.finalize().points, new.finalize().points)

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.coresets.smm import SMM
 from repro.coresets.smm_ext import SMMExt
 from repro.datasets.synthetic import sphere_shell
 from repro.exceptions import MemoryBudgetExceededError, StreamExhaustedError
 from repro.experiments.reference import reference_value
+from repro.metricspace.points import PointSet
+from repro.service import DiversityService, load_index
+from repro.service.index import build_coreset_index
 from repro.streaming.algorithm import (
     StreamingDiversityMaximizer,
     TwoPassStreamingDiversityMaximizer,
+    stream_coreset,
 )
 from repro.streaming.memory import audit_memory, theoretical_memory_points
 from repro.streaming.stream import ArrayStream, IteratorStream, ShuffledStream
@@ -261,3 +268,77 @@ class TestThroughput:
         assert report.kernel_points_per_second > 0
         assert np.array_equal(batched.centers(), per_point.centers())
         assert batched.peak_memory_points == per_point.peak_memory_points
+
+
+class TestDefaultBatchSize:
+    """Ingestion uses 1024-point blocks, whatever the benchmarks recorded.
+
+    A recorded batch-size sweep in which batching lost once switched
+    ingestion to one point at a time.  Each test plants such a record
+    where that lookup searched: ``$REPRO_BENCH_RESULTS_DIR``, or
+    ``benchmarks/results`` under the working directory.
+    """
+
+    @pytest.fixture(params=["env", "cwd"])
+    def block_sizes(self, request, tmp_path, monkeypatch):
+        """Plant a losing trajectory; record every stream block size."""
+        results = (tmp_path / "elsewhere" if request.param == "env"
+                   else tmp_path / "benchmarks" / "results")
+        results.mkdir(parents=True)
+        (results / "BENCH_fig3_batched_speedup.json").write_text(
+            json.dumps({"batch_size": 4096, "speedup": 0.6}))
+        monkeypatch.chdir(tmp_path)
+        if request.param == "env":
+            monkeypatch.setenv("REPRO_BENCH_RESULTS_DIR", str(results))
+        else:
+            monkeypatch.delenv("REPRO_BENCH_RESULTS_DIR", raising=False)
+        sizes: list[int] = []
+        batches = ArrayStream.batches
+
+        def spy(stream, batch_size):
+            sizes.append(batch_size)
+            return batches(stream, batch_size)
+
+        monkeypatch.setattr(ArrayStream, "batches", spy)
+        return sizes
+
+    def test_stream_coreset(self, block_sizes, rng):
+        stream_coreset(rng.normal(size=(300, 3)), k=4, k_prime=8)
+        assert block_sizes == [1024]
+
+    def test_coreset_index_extend(self, block_sizes, rng):
+        index = build_coreset_index(PointSet(rng.normal(size=(400, 3))),
+                                    k_max=4, k_min=4, parallelism=2, seed=0)
+        block_sizes.clear()
+        index.extend(PointSet(rng.normal(size=(200, 3))))
+        assert len(block_sizes) == len(index.all_rungs())
+        assert set(block_sizes) == {1024}
+
+    def test_cli_run_streaming(self, block_sizes, tmp_path):
+        data = str(tmp_path / "data")
+        assert main(["generate", "sphere-shell", "--n", "400", "--k", "4",
+                     "--out", data]) == 0
+        assert main(["run", "streaming", "--data", data, "--k", "4"]) == 0
+        assert block_sizes == [1024]
+
+    def test_service_refresh(self, block_sizes, rng):
+        index = build_coreset_index(PointSet(rng.normal(size=(400, 3))),
+                                    k_max=4, k_min=4, parallelism=2, seed=0)
+        block_sizes.clear()
+        with DiversityService(index) as service:
+            service.refresh(PointSet(rng.normal(size=(200, 3))))
+            assert len(block_sizes) == len(service.index.all_rungs())
+        assert set(block_sizes) == {1024}
+
+    def test_cli_refresh(self, block_sizes, tmp_path):
+        data, more, idx = (str(tmp_path / name)
+                           for name in ("data", "more", "idx"))
+        for out, seed in ((data, "0"), (more, "1")):
+            assert main(["generate", "sphere-shell", "--n", "300", "--k",
+                         "4", "--seed", seed, "--out", out]) == 0
+        assert main(["index", "--data", data, "--k-max", "4", "--k-min", "4",
+                     "--out", idx]) == 0
+        block_sizes.clear()
+        assert main(["refresh", "--index", idx, "--data", more]) == 0
+        assert len(block_sizes) == len(load_index(idx).all_rungs())
+        assert set(block_sizes) == {1024}

@@ -1,4 +1,4 @@
-"""Tests for the k'/tile/batch auto-tuning module."""
+"""Tests for the k' and kernel-tile tuning module."""
 
 from __future__ import annotations
 
@@ -9,16 +9,19 @@ import pytest
 
 from repro.datasets.synthetic import sphere_shell, uniform_cube
 from repro.exceptions import ValidationError
+from repro.metricspace.blocked import (
+    get_default_memory_budget,
+    set_default_memory_budget,
+    tile_rows_for,
+)
+from repro.metricspace.distance import get_metric
 from repro.metricspace.points import PointSet
 from repro.streaming.memory import theoretical_memory_points
 from repro.tuning import (
-    load_tile_profile,
-    recommend_batch_size,
+    KernelTuning,
     recommend_k_prime,
     recommend_matrix_budget_mb,
     recommend_tile_rows,
-    save_tile_profile,
-    tile_profile_path,
 )
 
 
@@ -64,159 +67,82 @@ class TestRecommendation:
         with pytest.raises(ValidationError):
             recommend_k_prime(points, k=4, epsilon=0.0)
 
-class TestTileProfile:
-    """The per-machine kernel-tile profile (.repro_profile.json)."""
 
-    def test_recommendation_is_recorded(self):
-        # The autouse conftest fixture points REPRO_PROFILE_PATH at a tmp
-        # file, so this exercises the env-overridable path too.
-        tuning = recommend_tile_rows("manhattan", 4096, 512, 8,
-                                     memory_budget_bytes=2 * 2**20)
-        path = tile_profile_path()
-        assert path.exists()
-        entries = load_tile_profile()
-        key = f"manhattan:4096x512x8:budget={2 * 2**20}:dtype=float64"
-        assert entries[key] == tuning.as_dict()
+class TestTileRows:
+    """``recommend_tile_rows`` is a pure function of its arguments."""
 
-    def test_profile_entry_is_reused(self):
-        recommend_tile_rows("euclidean", 1000, 1000, 4,
-                            memory_budget_bytes=2**20)
-        # Doctor the stored tiling: a later call must return the measured
-        # (stored) value instead of re-deriving it.
-        entries = load_tile_profile()
-        (key,) = entries
-        entries[key]["tile_rows"] = 77
-        save_tile_profile(entries)
-        tuning = recommend_tile_rows("euclidean", 1000, 1000, 4,
-                                     memory_budget_bytes=2**20)
-        assert tuning.tile_rows == 77
+    def test_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_PROFILE_PATH", raising=False)
+        recommend_tile_rows("manhattan", 4096, 512, 8,
+                            memory_budget_bytes=2 * 2**20)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_use_profile_false_ignores_profile(self):
-        baseline = recommend_tile_rows("euclidean", 1000, 1000, 4,
-                                       memory_budget_bytes=2**20,
-                                       use_profile=False)
-        entries = load_tile_profile()
-        assert entries == {}  # nothing recorded either
-        save_tile_profile({
-            f"euclidean:1000x1000x4:budget={2**20}:dtype=float64":
-            {**baseline.as_dict(), "tile_rows": 99}})
-        fresh = recommend_tile_rows("euclidean", 1000, 1000, 4,
-                                    memory_budget_bytes=2**20,
-                                    use_profile=False)
-        assert fresh.tile_rows == baseline.tile_rows != 99
+    @pytest.mark.parametrize("location", ["env", "cwd"])
+    def test_planted_profile_is_not_read(self, tmp_path, monkeypatch,
+                                         location):
+        # A profile file with a bogus tiling under the exact key the
+        # removed per-machine profile used, where that code looked.
+        derived = recommend_tile_rows("euclidean", 1000, 1000, 4,
+                                      memory_budget_bytes=2**20)
+        key = f"euclidean:1000x1000x4:budget={2**20}:dtype=float64"
+        profile = {"format_version": 3, "kernel_tuning": {
+            key: {**derived.as_dict(), "tile_rows": 77, "tiles": 13}}}
+        path = tmp_path / ("elsewhere.json" if location == "env"
+                           else ".repro_profile.json")
+        path.write_text(json.dumps(profile))
+        monkeypatch.chdir(tmp_path)
+        if location == "env":
+            monkeypatch.setenv("REPRO_PROFILE_PATH", str(path))
+        else:
+            monkeypatch.delenv("REPRO_PROFILE_PATH", raising=False)
+        assert recommend_tile_rows("euclidean", 1000, 1000, 4,
+                                   memory_budget_bytes=2**20) == derived
 
-    def test_different_budget_is_a_different_key(self):
-        recommend_tile_rows("euclidean", 2000, 2000, 4,
-                            memory_budget_bytes=2**20)
-        recommend_tile_rows("euclidean", 2000, 2000, 4,
-                            memory_budget_bytes=2**22)
-        assert len(load_tile_profile()) == 2
-
-    def test_malformed_profile_degrades_gracefully(self):
-        path = tile_profile_path()
-        path.write_text("{not json")
-        assert load_tile_profile() == {}
-        tuning = recommend_tile_rows("euclidean", 500, 500, 3)
-        assert tuning.tile_rows >= 1
-
-    def test_version_mismatch_invalidates_profile(self):
-        recommend_tile_rows("euclidean", 600, 600, 3,
-                            memory_budget_bytes=2**20)
-        path = tile_profile_path()
-        payload = json.loads(path.read_text())
-        assert payload["kernel_tuning"]  # something was recorded
-        payload["format_version"] = 99   # a future, incompatible layout
-        path.write_text(json.dumps(payload))
-        # Stale-version entries must not pin an outdated derivation.
-        assert load_tile_profile() == {}
-
-    def test_dtype_is_a_distinct_key_with_wider_tiles(self):
+    def test_float32_tiles_are_wider(self):
         narrow = recommend_tile_rows("manhattan", 100_000, 4096, 16,
                                      memory_budget_bytes=2**20)
         wide = recommend_tile_rows("manhattan", 100_000, 4096, 16,
                                    memory_budget_bytes=2**20,
                                    dtype="float32")
-        assert len(load_tile_profile()) == 2  # keyed per dtype
         assert narrow.dtype == "float64" and wide.dtype == "float32"
         # Same byte budget, half the itemsize: 2x the tile rows.
         assert wide.tile_rows == 2 * narrow.tile_rows
 
-    def test_stale_entry_layout_falls_back_to_derivation(self):
-        derived = recommend_tile_rows("cosine", 800, 800, 6,
-                                      memory_budget_bytes=2**20,
-                                      use_profile=False)
-        save_tile_profile({f"cosine:800x800x6:budget={2**20}:dtype=float64":
-                           {"unexpected": "layout"}})
-        tuning = recommend_tile_rows("cosine", 800, 800, 6,
-                                     memory_budget_bytes=2**20)
-        assert tuning.tile_rows == derived.tile_rows
+    def test_bigger_budget_gives_bigger_tile(self):
+        small = recommend_tile_rows("euclidean", 20_000, 2000, 4,
+                                    memory_budget_bytes=2**20)
+        big = recommend_tile_rows("euclidean", 20_000, 2000, 4,
+                                  memory_budget_bytes=2**22)
+        assert small.memory_budget_bytes == 2**20
+        assert big.tile_rows > small.tile_rows
+        assert big.tiles < small.tiles
 
+    @pytest.mark.parametrize("metric, dtype, budget", [
+        ("euclidean", "float64", 2**20),
+        ("manhattan", "float32", 3 * 2**20),
+        ("jaccard", "float64", 2**22),
+    ])
+    def test_matches_tile_rows_for(self, metric, dtype, budget):
+        tuning = recommend_tile_rows(metric, 50_000, 3000, 8,
+                                     memory_budget_bytes=budget, dtype=dtype)
+        resolved = get_metric(metric)
+        tile = tile_rows_for(resolved, 50_000, 3000, 8, budget,
+                             itemsize=np.dtype(dtype).itemsize)
+        assert tuning == KernelTuning(
+            metric=resolved.name, tile_rows=tile,
+            tiles=-(-50_000 // tile), memory_budget_bytes=budget,
+            accumulating=resolved.accumulates_per_dimension, dtype=dtype)
 
-class TestRecommendBatchSize:
-    """Batch-size auto-tuning from the BENCH_fig3_*.json trajectory."""
-
-    @staticmethod
-    def _write(directory, name, payload):
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / name).write_text(json.dumps(payload))
-
-    def test_best_measured_batch_size_wins(self, tmp_path):
-        self._write(tmp_path, "BENCH_fig3_batched_speedup.json",
-                    {"batch_size": 2048, "speedup": 7.5})
-        self._write(tmp_path, "BENCH_fig3_throughput.json",
-                    {"batch_size": 512, "cells": [
-                        {"per_point_pps": 100.0, "batched_pps": 300.0},
-                        {"per_point_pps": 100.0, "batched_pps": 500.0}]})
-        assert recommend_batch_size(tmp_path) == 2048
-
-    def test_batch_size_sweep_is_arg_maxed(self, tmp_path):
-        self._write(tmp_path, "BENCH_fig3_batched_speedup.json",
-                    {"batch_size": 1024, "speedup": 50.0, "sweep": [
-                        {"batch_size": 256, "speedup": 40.0},
-                        {"batch_size": 1024, "speedup": 50.0},
-                        {"batch_size": 4096, "speedup": 62.0},
-                        {"batch_size": "bad", "speedup": 99.0}]})
-        assert recommend_batch_size(tmp_path) == 4096
-
-    def test_throughput_sweep_alone_suffices(self, tmp_path):
-        self._write(tmp_path, "BENCH_fig3_throughput.json",
-                    {"batch_size": 256, "cells": [
-                        {"per_point_pps": 10.0, "batched_pps": 80.0}]})
-        assert recommend_batch_size(tmp_path) == 256
-
-    def test_losing_trajectory_disables_batching(self, tmp_path):
-        self._write(tmp_path, "BENCH_fig3_batched_speedup.json",
-                    {"batch_size": 4096, "speedup": 0.6})
-        assert recommend_batch_size(tmp_path) == 1
-
-    def test_no_trajectory_returns_default(self, tmp_path):
-        assert recommend_batch_size(tmp_path / "empty") == 1024
-        assert recommend_batch_size(tmp_path / "empty", default=64) == 64
-        # The None sentinel lets callers distinguish "no measurement".
-        assert recommend_batch_size(tmp_path / "empty", default=None) is None
-
-    def test_env_var_is_authoritative(self, tmp_path, monkeypatch):
-        self._write(tmp_path / "env", "BENCH_fig3_batched_speedup.json",
-                    {"batch_size": 128, "speedup": 3.0})
-        monkeypatch.setenv("REPRO_BENCH_RESULTS_DIR", str(tmp_path / "env"))
-        assert recommend_batch_size() == 128
-
-    def test_garbage_files_are_skipped(self, tmp_path):
-        self._write(tmp_path, "BENCH_fig3_throughput.json",
-                    {"batch_size": "huge", "cells": []})
-        (tmp_path / "BENCH_fig3_other.json").write_text("not json")
-        assert recommend_batch_size(tmp_path) == 1024
-
-    def test_non_numeric_cells_are_skipped(self, tmp_path):
-        self._write(tmp_path, "BENCH_fig3_throughput.json",
-                    {"batch_size": 512, "cells": [
-                        {"per_point_pps": "100", "batched_pps": 300.0},
-                        {"per_point_pps": 0.0, "batched_pps": 300.0},
-                        {"per_point_pps": 100.0, "batched_pps": None},
-                        "not a cell",
-                        {"per_point_pps": 100.0, "batched_pps": 250.0}]})
-        # Only the last cell is usable; it shows batching winning.
-        assert recommend_batch_size(tmp_path) == 512
+    def test_default_budget_is_the_kernel_default(self):
+        before = get_default_memory_budget()
+        set_default_memory_budget(3 * 2**20)
+        try:
+            tuning = recommend_tile_rows("manhattan", 50_000, 3000, 8)
+        finally:
+            set_default_memory_budget(before)
+        assert tuning == recommend_tile_rows("manhattan", 50_000, 3000, 8,
+                                             memory_budget_bytes=3 * 2**20)
 
 
 class TestMatrixBudgetRecommendation:
@@ -320,61 +246,6 @@ class TestTenantWeights:
         with pytest.raises(ValidationError):
             recommend_tenant_weights({"eu": 5}, max_weight=0)
 
-
-class TestProfileMigration:
-    """Profile formats v2 and v3 load; v1 and newer ones are ignored."""
-
-    @staticmethod
-    def _write_raw(payload):
-        path = tile_profile_path()
-        path.write_text(json.dumps(payload))
-        return path
-
-    def test_v1_profile_loads_as_empty(self):
-        # Pre-dtype v1 files must not pin outdated tilings.
-        self._write_raw({"format_version": 1,
-                         "kernel_tuning": {"stale": {"tile_rows": 7}}})
-        assert load_tile_profile() == {}
-
-    def test_v2_profile_entries_load(self):
-        entry = {"euclidean:10x10x2:budget=1:dtype=float64":
-                 {"tile_rows": 5}}
-        self._write_raw({"format_version": 2, "kernel_tuning": entry})
-        assert load_tile_profile() == entry
-
-    def test_v3_calibration_block_is_ignored_and_kept(self):
-        # v3 files written when the profile carried a query-planner
-        # calibration block still load, and saving keeps the block.
-        block = {"calibrated": True, "scale": 2.0}
-        self._write_raw({"format_version": 3,
-                         "kernel_tuning": {"old": {"tile_rows": 4}},
-                         "planner_calibration": block})
-        assert load_tile_profile() == {"old": {"tile_rows": 4}}
-        save_tile_profile({"key": {"tile_rows": 3}})
-        assert load_tile_profile() == {"key": {"tile_rows": 3}}
-        payload = json.loads(tile_profile_path().read_text())
-        assert payload["planner_calibration"] == block
-
-    def test_save_upgrades_v2_in_place(self):
-        entry = {"k": {"tile_rows": 9}}
-        self._write_raw({"format_version": 2, "kernel_tuning": entry})
-        save_tile_profile(load_tile_profile())
-        payload = json.loads(tile_profile_path().read_text())
-        assert payload["format_version"] == 3
-        assert payload["kernel_tuning"] == entry  # survives the upgrade
-
-
-    def test_calibration_block_ignored_when_malformed(self):
-        # A leftover block of any shape neither breaks loading nor is
-        # dropped by a later save.
-        self._write_raw({"format_version": 3,
-                         "kernel_tuning": {"old": {"tile_rows": 2}},
-                         "planner_calibration": ["not", "a", "dict"]})
-        assert load_tile_profile() == {"old": {"tile_rows": 2}}
-        save_tile_profile({"key": {"tile_rows": 3}})
-        payload = json.loads(tile_profile_path().read_text())
-        assert payload["planner_calibration"] == ["not", "a", "dict"]
-        assert load_tile_profile() == {"key": {"tile_rows": 3}}
 
 class TestRecommendationPipeline:
     def test_recommendation_actually_performs(self):
