@@ -9,14 +9,15 @@ of edges crossing the cut.  Evaluating it exactly needs enumeration of
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from repro.exceptions import ValidationError
 
 #: Largest set routed to exact enumeration by default (C(16, 8) = 12,870).
 EXACT_LIMIT = 16
+
+#: Cut-weight cells the exact enumeration gathers at once.
+_BLOCK_CELLS = 1 << 16
 
 
 def _check_square(dist: np.ndarray) -> np.ndarray:
@@ -35,6 +36,20 @@ def bipartition_cut_weight(dist: np.ndarray, side: np.ndarray) -> float:
     return float(dist[np.ix_(side, ~side)].sum())
 
 
+def _subsets(n: int, size: int, first: int) -> np.ndarray:
+    """The rows of ``itertools.combinations(range(first, n), size)``, in order."""
+    rows = np.arange(first, n - size + 1).reshape(-1, 1)
+    for width in range(1, size):
+        # Each row continues with every larger index that leaves room for
+        # the positions after it, smallest first, so the order is kept.
+        last = rows[:, -1]
+        counts = n - size + width - last
+        rows = np.repeat(rows, counts, axis=0)
+        offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows, rows[:, -1] + 1 + offsets])
+    return rows
+
+
 def exact_min_balanced_bipartition(dist: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact minimum balanced cut by subset enumeration.
 
@@ -46,18 +61,27 @@ def exact_min_balanced_bipartition(dist: np.ndarray) -> tuple[float, np.ndarray]
     if n < 2:
         return 0.0, np.zeros(n, dtype=bool)
     half = n // 2
+    cells = half * (n - half)
+    flat = dist.ravel()
     best_weight = np.inf
     best_side = np.zeros(n, dtype=bool)
     # Fixing point 0 on the "right" side halves the enumeration when the
     # sides have equal size (each cut counted once); harmless when odd.
-    candidates = combinations(range(1, n), half)
-    for subset in candidates:
-        side = np.zeros(n, dtype=bool)
-        side[list(subset)] = True
-        weight = bipartition_cut_weight(dist, side)
-        if weight < best_weight:
-            best_weight = weight
-            best_side = side
+    sides = _subsets(n, half, 1)
+    step = max(1, _BLOCK_CELLS // cells)
+    for start in range(0, len(sides), step):
+        left = sides[start:start + step]
+        member = np.zeros((len(left), n), dtype=bool)
+        member[np.arange(len(left))[:, None], left] = True
+        right = np.nonzero(~member)[1].reshape(len(left), n - half)
+        # Each cut's block dist[left, right] as one contiguous row: summing
+        # it is the pairwise summation of dist[np.ix_(side, ~side)].sum().
+        block = (left[:, :, None] * n + right[:, None, :]).reshape(len(left), cells)
+        weights = flat.take(block).sum(axis=1)
+        best = int(np.argmin(weights))
+        if weights[best] < best_weight:
+            best_weight = weights[best]
+            best_side = member[best].copy()
     return float(best_weight), best_side
 
 

@@ -3,8 +3,10 @@
 ``w(TSP(S))`` defines the remote-cycle diversity objective.  Evaluating it
 exactly is itself NP-hard, so the library offers:
 
-* :func:`held_karp_tsp` — exact O(2^n n^2) dynamic program, used for
-  ``n <= HELD_KARP_LIMIT`` (tests and small-k experiments);
+* :func:`held_karp_tsp` — exact O(2^n n^2) dynamic program, vectorized
+  one path length at a time; :func:`tsp_weight` uses it for every
+  ``n <= HELD_KARP_LIMIT``, so it evaluates each remote-cycle value of
+  at most 13 points;
 * :func:`mst_doubling_tour` — the classical metric 2-approximation
   (preorder walk of the MST), refined by :func:`two_opt_improve`;
 * :func:`tsp_weight` — dispatches between the two and is the evaluator the
@@ -20,6 +22,10 @@ from repro.graph.mst import prim_mst
 
 #: Largest instance routed to the exact Held-Karp solver by default.
 HELD_KARP_LIMIT = 13
+
+#: Candidate cells (end, next vertex, mask) one Held-Karp step evaluates
+#: at once; ``dp`` itself is ``2^n x n``.
+_BLOCK_CELLS = 1 << 16
 
 
 def _check_square(dist: np.ndarray) -> np.ndarray:
@@ -51,41 +57,40 @@ def held_karp_tsp(dist: np.ndarray) -> tuple[float, list[int]]:
         return 0.0, list(range(n))
     if n == 2:
         return float(2.0 * dist[0, 1]), [0, 1]
-    # dp[mask][j] = best cost of a path starting at 0, visiting exactly the
+    # dp[mask, j] = best cost of a path starting at 0, visiting exactly the
     # vertices in mask (0 always in mask), ending at j.
     full = 1 << n
     dp = np.full((full, n), np.inf)
-    parent = np.full((full, n), -1, dtype=np.int64)
-    dp[1][0] = 0.0
-    for mask in range(1, full):
-        if not mask & 1:
-            continue
-        ends = np.flatnonzero(np.isfinite(dp[mask]))
-        if len(ends) == 0:
-            continue
-        for j in range(n):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            candidates = dp[mask][ends] + dist[ends, j]
-            best = int(np.argmin(candidates))
-            new_mask = mask | bit
-            if candidates[best] < dp[new_mask][j]:
-                dp[new_mask][j] = candidates[best]
-                parent[new_mask][j] = ends[best]
-    final_mask = full - 1
-    closing = dp[final_mask] + dist[:, 0]
+    dp[1, 0] = 0.0
+    masks = np.arange(1, full, 2)
+    sizes = sum((masks >> bit) & 1 for bit in range(n))
+    bits = 1 << np.arange(n)
+    step = max(1, _BLOCK_CELLS // (n * n))
+    # One layer of masks per path length.  A path extends to each j outside
+    # its mask by the single addition dp[mask, e] + dist[e, j], minimized
+    # over e; dp holds inf at every e that cannot end the path, so only
+    # real ends attain a finite minimum.  dp[mask | bit_j, j] has one
+    # source mask, so it is written exactly once.
+    for size in range(1, n):
+        layer = masks[sizes == size]
+        for start in range(0, len(layer), step):
+            chunk = layer[start:start + step]
+            best = (dp[chunk].T[:, None, :] + dist[:, :, None]).min(axis=0)
+            j, row = np.nonzero((chunk & bits[:, None]) == 0)
+            dp[chunk[row] | bits[j], j] = best[j, row]
+    mask = full - 1
+    closing = dp[mask] + dist[:, 0]
     closing[0] = np.inf
-    last = int(np.argmin(closing))
-    weight = float(closing[last])
-    # Reconstruct the tour by walking the parent table backwards.
-    tour = []
-    mask, node = final_mask, last
-    while node != -1:
-        tour.append(node)
-        prev = int(parent[mask][node])
+    node = int(np.argmin(closing))
+    weight = float(closing[node])
+    # Walk the optimal path backwards.  The predecessor of (mask, node) is
+    # the first end e attaining dp[mask, node], recomputed from the final
+    # row of mask ^ bit_node, so ties break towards the smallest end.
+    tour = [node]
+    while mask != 1 and dp[mask, node] < np.inf:
         mask ^= 1 << node
-        node = prev
+        node = int(np.argmin(dp[mask] + dist[:, node]))
+        tour.append(node)
     tour.reverse()
     return weight, tour
 

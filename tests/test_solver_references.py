@@ -1,10 +1,13 @@
-"""The row-best matching and the vectorized star polish against their loops.
+"""The vectorized solvers and exact evaluators against their loops.
 
 ``_reference_matching`` and ``_reference_remote_star`` are the earlier
 implementations, kept verbatim: iterated full-matrix ``argmax`` over a
 float64 copy with the lower triangle masked, and one ``remote_star_value``
-call per swap candidate.  The fast paths must return exactly what they
-return, pair list for pair list and index for index, on inputs made of
+call per swap candidate.  ``_reference_held_karp`` and
+``_reference_min_balanced_cut`` are the scalar Held-Karp loop and the
+one-cut-at-a-time enumeration behind remote-cycle and remote-bipartition
+values.  The fast paths must return exactly what they return, pair list
+for pair list, index for index, weight bit for bit, on inputs made of
 ties: integer grids, duplicated points, an all-zero matrix, and a matrix
 whose upper triangle alone carries last-bit noise (so it is not
 symmetric, as blocked rung matrices need not be).  Every input is
@@ -13,7 +16,9 @@ read-only, so a write into ``dist`` would raise.
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,8 +29,13 @@ from repro.diversity.measures import remote_star_value
 from repro.diversity.sequential import remote_star
 from repro.diversity.sequential.remote_clique import solve_remote_clique
 from repro.diversity.sequential.remote_star import solve_remote_star
-from repro.graph import matching
+from repro.graph import bipartition, matching, tsp
+from repro.graph.bipartition import (
+    bipartition_cut_weight,
+    exact_min_balanced_bipartition,
+)
 from repro.graph.matching import greedy_max_matching
+from repro.graph.tsp import held_karp_tsp
 from repro.metricspace.points import PointSet
 from repro.utils.validation import as_float_array
 
@@ -67,6 +77,73 @@ def _reference_remote_star(dist, k):
     return best[1]
 
 
+def _reference_held_karp(dist):
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
+    if n <= 1:
+        return 0.0, list(range(n))
+    if n == 2:
+        return float(2.0 * dist[0, 1]), [0, 1]
+    # dp[mask][j] = best cost of a path starting at 0, visiting exactly the
+    # vertices in mask (0 always in mask), ending at j.
+    full = 1 << n
+    dp = np.full((full, n), np.inf)
+    parent = np.full((full, n), -1, dtype=np.int64)
+    dp[1][0] = 0.0
+    for mask in range(1, full):
+        if not mask & 1:
+            continue
+        ends = np.flatnonzero(np.isfinite(dp[mask]))
+        if len(ends) == 0:
+            continue
+        for j in range(n):
+            bit = 1 << j
+            if mask & bit:
+                continue
+            candidates = dp[mask][ends] + dist[ends, j]
+            best = int(np.argmin(candidates))
+            new_mask = mask | bit
+            if candidates[best] < dp[new_mask][j]:
+                dp[new_mask][j] = candidates[best]
+                parent[new_mask][j] = ends[best]
+    final_mask = full - 1
+    closing = dp[final_mask] + dist[:, 0]
+    closing[0] = np.inf
+    last = int(np.argmin(closing))
+    weight = float(closing[last])
+    # Reconstruct the tour by walking the parent table backwards.
+    tour = []
+    mask, node = final_mask, last
+    while node != -1:
+        tour.append(node)
+        prev = int(parent[mask][node])
+        mask ^= 1 << node
+        node = prev
+    tour.reverse()
+    return weight, tour
+
+
+def _reference_min_balanced_cut(dist):
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[0]
+    if n < 2:
+        return 0.0, np.zeros(n, dtype=bool)
+    half = n // 2
+    best_weight = np.inf
+    best_side = np.zeros(n, dtype=bool)
+    # Fixing point 0 on the "right" side halves the enumeration when the
+    # sides have equal size (each cut counted once); harmless when odd.
+    candidates = combinations(range(1, n), half)
+    for subset in candidates:
+        side = np.zeros(n, dtype=bool)
+        side[list(subset)] = True
+        weight = bipartition_cut_weight(dist, side)
+        if weight < best_weight:
+            best_weight = weight
+            best_side = side
+    return float(best_weight), best_side
+
+
 def _tie_heavy(n: int, dtype, seed: int = 0) -> dict[str, np.ndarray]:
     """The tie-heavy inputs, read-only, in *dtype*."""
     rng = np.random.default_rng(seed)
@@ -97,7 +174,29 @@ def block_cells(request, monkeypatch):
     if request.param == "tiny":
         monkeypatch.setattr(matching, "_BLOCK_CELLS", 16)
         monkeypatch.setattr(remote_star, "_TRIAL_CELLS", 16)
+        monkeypatch.setattr(tsp, "_BLOCK_CELLS", 16)
+        monkeypatch.setattr(bipartition, "_BLOCK_CELLS", 16)
     return request.param
+
+
+def _tour(result):
+    weight, tour = result
+    return weight.hex(), tour
+
+
+def _cut(result):
+    weight, side = result
+    assert side.dtype == bool
+    return weight.hex(), side.tolist()
+
+
+@functools.cache
+def _references(n: int, dtype) -> dict:
+    """The reference tours and cuts of ``_tie_heavy(n, dtype)``, computed
+    once for both block sizes."""
+    return {name: (_tour(_reference_held_karp(dist)) if n <= 13 else None,
+                   _cut(_reference_min_balanced_cut(dist)))
+            for name, dist in _tie_heavy(n, dtype).items()}
 
 
 class TestMatchingMatchesReference:
@@ -153,6 +252,42 @@ class TestRemoteStarMatchesReference:
                                   _reference_remote_star(dist, k))
 
 
+class TestExactEvaluatorsMatchReference:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_held_karp_every_n(self, n, dtype, block_cells):
+        for name, dist in _tie_heavy(n, dtype).items():
+            assert _tour(held_karp_tsp(dist)) == _references(n, dtype)[name][0], name
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_cut_every_n(self, n, dtype, block_cells):
+        for name, dist in _tie_heavy(n, dtype).items():
+            assert _cut(exact_min_balanced_bipartition(dist)) == \
+                _references(n, dtype)[name][1], name
+
+    def test_scratch_is_bounded_and_released(self):
+        # dp at n=13 is 0.8 MiB and the n=16 side table 0.8 MiB; the rest
+        # is chunk scratch of about 2^16 cells.  An unchunked cut gather
+        # peaks near 7.6 MiB and an unchunked Held-Karp layer near 2.4 MiB.
+        # Index arrays cached across calls would stay behind.
+        rng = np.random.default_rng(6)
+        cases = ((held_karp_tsp, 13, 2.0), (exact_min_balanced_bipartition, 16, 2.5))
+        tracemalloc.start()
+        try:
+            for evaluate, n, bound_mib in cases:
+                dist = PointSet(rng.normal(size=(n, 3))).pairwise()
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                evaluate(dist)
+                evaluate(dist)
+                current, peak = tracemalloc.get_traced_memory()
+                assert peak - before < bound_mib * 2**20, evaluate.__name__
+                assert current - before < 2**14, evaluate.__name__
+        finally:
+            tracemalloc.stop()
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(n=st.integers(2, 30), seed=st.integers(0, 10**6),
@@ -168,3 +303,19 @@ def test_few_distinct_values_match_reference(n, seed, levels, float32):
     k = int(rng.integers(1, n + 1))
     assert np.array_equal(solve_remote_star(dist, k),
                           _reference_remote_star(dist, k))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(2, 12), seed=st.integers(0, 10**6),
+       levels=st.integers(1, 4), float32=st.booleans())
+def test_exact_evaluators_few_distinct_values_match_reference(n, seed, levels, float32):
+    """Held-Karp and the exact cut on arbitrary non-symmetric matrices
+    drawn from a handful of values."""
+    rng = np.random.default_rng(seed)
+    dist = rng.integers(0, levels, size=(n, n)).astype(
+        np.float32 if float32 else np.float64)
+    dist.setflags(write=False)
+    assert _tour(held_karp_tsp(dist)) == _tour(_reference_held_karp(dist))
+    assert _cut(exact_min_balanced_bipartition(dist)) == \
+        _cut(_reference_min_balanced_cut(dist))
