@@ -2,9 +2,11 @@
 
 The remote-bipartition diversity of a set ``S`` is the minimum, over
 bipartitions ``(Q, S \\ Q)`` with ``|Q| = floor(|S|/2)``, of the total weight
-of edges crossing the cut.  Evaluating it exactly needs enumeration of
-``C(n, n/2)`` subsets, so the library provides an exact evaluator for small
-``n`` and a swap-based local-search evaluator beyond that.
+of edges crossing the cut.  Evaluating it exactly enumerates the
+``C(n, floor(n/2))`` candidate sides ``Q``, or the ``C(n - 1, n/2)`` that
+leave point 0 out at even ``n``, where ``Q`` and its complement give the
+same cut.  So the library provides an exact evaluator for small ``n`` and a
+swap-based local-search evaluator beyond that.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ def exact_min_balanced_bipartition(dist: np.ndarray) -> tuple[float, np.ndarray]
     flat = dist.ravel()
     best_weight = np.inf
     best_side = np.zeros(n, dtype=bool)
-    # Fixing point 0 on the "right" side halves the enumeration when the
-    # sides have equal size (each cut counted once); harmless when odd.
-    sides = _subsets(n, half, 1)
+    # Q leaves point 0 out when the sides have equal size, so each cut is
+    # counted once; at odd n, Q is the smaller side and may hold point 0.
+    sides = _subsets(n, half, 1 - n % 2)
     step = max(1, _BLOCK_CELLS // cells)
     for start in range(0, len(sides), step):
         left = sides[start:start + step]

@@ -63,23 +63,33 @@ class TestBipartition:
             10.0 + 10.1 + 9.9 + 10.0
         )
 
-    def test_exact_prefers_cluster_split(self):
-        pts = np.asarray([[0.0], [0.1], [10.0], [10.1]])
+    @pytest.mark.parametrize("line, expected, q", [
+        # Balanced means |Q| = 2: separating the clusters costs ~40, mixing
+        # them ~20.2 (two mixed cuts tie), so exact picks a mixed split.
+        ([0.0, 0.1, 10.0, 10.1], 20.2, None),
+        # At odd n, Q is the smaller side and may hold point 0: Q = {0}
+        # costs 2, every Q without point 0 costs 3.
+        ([0.0, 1.0, -1.0], 2.0, [0]),
+    ], ids=["cluster-split", "odd-n-middle"])
+    def test_exact_on_a_line(self, line, expected, q):
+        pts = np.asarray(line)[:, None]
         dist = np.abs(pts - pts.T)
+        n = len(line)
         weight, side = exact_min_balanced_bipartition(dist)
-        # The cheapest *balanced* cut must put one point of each cluster on
-        # each side? No: balanced means |Q| = 2; separating the clusters
-        # costs ~40, mixing costs ~20.1; exact should pick the mixed split.
-        assert side.sum() == 2
+        assert side.sum() == n // 2
         brute = min(
-            bipartition_cut_weight(dist, _mask(4, subset))
-            for subset in combinations(range(4), 2)
+            bipartition_cut_weight(dist, _mask(n, subset))
+            for subset in combinations(range(n), n // 2)
         )
         assert weight == pytest.approx(brute)
+        assert brute == pytest.approx(expected)
+        if q is not None:
+            assert np.flatnonzero(side).tolist() == q
 
-    @pytest.mark.parametrize("n", [4, 6, 7, 9])
-    def test_exact_matches_enumeration(self, n, rng):
-        dist = _random_metric(rng, n)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 9])
+    def test_exact_matches_enumeration(self, n, seed):
+        dist = _random_metric(np.random.default_rng(seed), n)
         weight, side = exact_min_balanced_bipartition(dist)
         half = n // 2
         brute = min(

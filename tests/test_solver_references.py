@@ -132,8 +132,8 @@ def _reference_min_balanced_cut(dist):
     best_weight = np.inf
     best_side = np.zeros(n, dtype=bool)
     # Fixing point 0 on the "right" side halves the enumeration when the
-    # sides have equal size (each cut counted once); harmless when odd.
-    candidates = combinations(range(1, n), half)
+    # sides have equal size (each cut counted once); not when odd.
+    candidates = combinations(range(1 - n % 2, n), half)
     for subset in candidates:
         side = np.zeros(n, dtype=bool)
         side[list(subset)] = True
