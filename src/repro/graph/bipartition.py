@@ -112,21 +112,18 @@ def local_search_balanced_bipartition(
         weight = bipartition_cut_weight(dist, side)
         for _ in range(max_rounds):
             improved = False
-            # contribution[i] = total distance from i to the opposite side.
             left = np.flatnonzero(side)
             right = np.flatnonzero(~side)
             cross = dist[np.ix_(left, right)]
-            # Swapping left[i] and right[j] changes the cut by:
-            # delta = (sum_right dist[l, .] - inner) terms; compute directly.
+            # Swapping l = left[i] and r = right[j] moves l into R and r
+            # into L.  The cut loses d(l, R) + d(r, L) - d(l, r), as both
+            # sums hold the edge (l, r), and gains d(l, L - l) + d(r, R - r)
+            # + d(l, r), as (l, r) still crosses.  With a zero diagonal:
+            #   delta[i, j] = d(l, L) + d(r, R) - d(l, R) - d(r, L) + 2 d(l, r)
             left_to_right = cross.sum(axis=1)        # d(l, R)
             right_to_left = cross.sum(axis=0)        # d(r, L)
             left_to_left = dist[np.ix_(left, left)].sum(axis=1)
             right_to_right = dist[np.ix_(right, right)].sum(axis=1)
-            # After swapping l and r: l joins R, r joins L.
-            # new_cut = cut - d(l,R) - d(r,L) + d(l,L) + d(r,R) + 2 d(l,r)
-            #   - 2*d(l,r) adjustments: d(l, r) was cross before and stays
-            #     cross after (both switched sides), so subtract it twice
-            #     from the removal and it remains; careful algebra below.
             delta = (
                 left_to_left[:, None] + right_to_right[None, :]
                 - left_to_right[:, None] - right_to_left[None, :]

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import sphere_shell
 from repro.diversity.objectives import list_objectives
@@ -73,6 +75,26 @@ class TestMemoEqualsFreshSolve:
                         assert ours.dtype == theirs.dtype
                         assert np.array_equal(ours, theirs), \
                             (name, k_cap, order, objective, k)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(1, 24), seed=st.integers(0, 10**6),
+           levels=st.integers(1, 4), float32=st.booleans(),
+           k_cap=st.integers(1, 24), ks=st.permutations(range(1, 25)))
+    def test_few_distinct_values_any_cap_and_order(self, n, seed, levels,
+                                                   float32, k_cap, ks):
+        """Arbitrary non-symmetric matrices drawn from a handful of values."""
+        rng = np.random.default_rng(seed)
+        dist = rng.integers(0, levels, size=(n, n)).astype(
+            np.float32 if float32 else np.float64)
+        dist.setflags(write=False)
+        memo = SolverMemo(k_cap)
+        for k in (k for k in ks if k <= n):
+            for objective in list_objectives():
+                ours = solve_on_matrix(dist, k, objective, memo=memo)
+                theirs = solve_on_matrix(dist, k, objective)
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs), (objective, k)
 
     def test_fill_runs_to_the_cap_then_slices(self):
         dist = _tie_heavy(24, np.float64)["duplicated"]

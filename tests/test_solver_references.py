@@ -267,10 +267,10 @@ class TestExactEvaluatorsMatchReference:
                 _references(n, dtype)[name][1], name
 
     def test_scratch_is_bounded_and_released(self):
-        # dp at n=13 is 0.8 MiB and the n=16 side table 0.8 MiB; the rest
-        # is chunk scratch of about 2^16 cells.  An unchunked cut gather
-        # peaks near 7.6 MiB and an unchunked Held-Karp layer near 2.4 MiB.
-        # Index arrays cached across calls would stay behind.
+        # dp at n=13 is 0.8 MiB and the n=16 side table 0.4 MiB; the rest
+        # is chunk scratch of about 2^16 cells per array.  An unchunked cut
+        # gather peaks near 7.6 MiB and an unchunked Held-Karp layer near
+        # 2.4 MiB.  Index arrays cached across calls would stay behind.
         rng = np.random.default_rng(6)
         cases = ((held_karp_tsp, 13, 2.0), (exact_min_balanced_bipartition, 16, 2.5))
         tracemalloc.start()
