@@ -11,6 +11,8 @@ swap-based local-search evaluator beyond that.
 
 from __future__ import annotations
 
+from itertools import chain, combinations, islice
+
 import numpy as np
 
 from repro.exceptions import ValidationError
@@ -38,20 +40,6 @@ def bipartition_cut_weight(dist: np.ndarray, side: np.ndarray) -> float:
     return float(dist[np.ix_(side, ~side)].sum())
 
 
-def _subsets(n: int, size: int, first: int) -> np.ndarray:
-    """The rows of ``itertools.combinations(range(first, n), size)``, in order."""
-    rows = np.arange(first, n - size + 1).reshape(-1, 1)
-    for width in range(1, size):
-        # Each row continues with every larger index that leaves room for
-        # the positions after it, smallest first, so the order is kept.
-        last = rows[:, -1]
-        counts = n - size + width - last
-        rows = np.repeat(rows, counts, axis=0)
-        offsets = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.column_stack([rows, rows[:, -1] + 1 + offsets])
-    return rows
-
-
 def exact_min_balanced_bipartition(dist: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact minimum balanced cut by subset enumeration.
 
@@ -69,10 +57,10 @@ def exact_min_balanced_bipartition(dist: np.ndarray) -> tuple[float, np.ndarray]
     best_side = np.zeros(n, dtype=bool)
     # Q leaves point 0 out when the sides have equal size, so each cut is
     # counted once; at odd n, Q is the smaller side and may hold point 0.
-    sides = _subsets(n, half, 1 - n % 2)
-    step = max(1, _BLOCK_CELLS // cells)
-    for start in range(0, len(sides), step):
-        left = sides[start:start + step]
+    indices = chain.from_iterable(combinations(range(1 - n % 2, n), half))
+    rows = max(1, _BLOCK_CELLS // cells)
+    while (chunk := np.fromiter(islice(indices, rows * half), dtype=np.intp)).size:
+        left = chunk.reshape(-1, half)
         member = np.zeros((len(left), n), dtype=bool)
         member[np.arange(len(left))[:, None], left] = True
         right = np.nonzero(~member)[1].reshape(len(left), n - half)

@@ -17,8 +17,13 @@ read-only, so a write into ``dist`` would raise.
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,25 +272,42 @@ class TestExactEvaluatorsMatchReference:
                 _references(n, dtype)[name][1], name
 
     def test_scratch_is_bounded_and_released(self):
-        # dp at n=13 is 0.8 MiB and the n=16 side table 0.4 MiB; the rest
-        # is chunk scratch of about 2^16 cells per array.  An unchunked cut
-        # gather peaks near 7.6 MiB and an unchunked Held-Karp layer near
-        # 2.4 MiB.  Index arrays cached across calls would stay behind.
-        rng = np.random.default_rng(6)
-        cases = ((held_karp_tsp, 13, 2.0), (exact_min_balanced_bipartition, 16, 2.5))
-        tracemalloc.start()
-        try:
-            for evaluate, n, bound_mib in cases:
-                dist = PointSet(rng.normal(size=(n, 3))).pairwise()
+        # In a fresh interpreter, so that no earlier test has filled a
+        # cache the calls could reuse.  dp at n=13 is 0.8 MiB; the rest is
+        # chunk scratch of about 2^16 cells per array.  An unchunked
+        # Held-Karp layer peaks near 2.4 MiB and an unchunked cut gather
+        # near 7 MiB; index arrays kept across calls stay behind.
+        probe = textwrap.dedent("""\
+            import tracemalloc
+            import numpy as np
+            from repro.graph.bipartition import exact_min_balanced_bipartition
+            from repro.graph.tsp import held_karp_tsp
+
+            rng = np.random.default_rng(6)
+            tracemalloc.start()
+            for evaluate, n in ((held_karp_tsp, 13),
+                                (exact_min_balanced_bipartition, 16)):
+                dist = rng.random((n, n))
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 evaluate(dist)
                 evaluate(dist)
                 current, peak = tracemalloc.get_traced_memory()
-                assert peak - before < bound_mib * 2**20, evaluate.__name__
-                assert current - before < 2**14, evaluate.__name__
-        finally:
-            tracemalloc.stop()
+                print(evaluate.__name__, peak - before, current - before)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"),
+             env.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2, proc.stdout
+        for line in lines:
+            name, peak, retained = line.split()
+            assert int(peak) < 2 * 2**20, line
+            assert int(retained) < 2**14, line
 
 
 @settings(max_examples=40, deadline=None,
