@@ -321,7 +321,7 @@ def _qos_drive(hot_index, cold_index, queries, hot_queries, expected, *,
                           quota=TenantQuota(weight=1.0, max_queue=16))
         registry.register("cold", cold_index)
         server = DiversityServer(registry, ServerConfig(
-            qos=qos, batch_window_ms=1.0, max_batch=8, max_queue=16))
+            qos=qos, max_batch=8, max_queue=16))
         host, port = await server.start()
         cold_done = asyncio.Event()
         try:

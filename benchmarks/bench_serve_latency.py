@@ -18,7 +18,10 @@ Gates (the acceptance criteria of the serving PR):
 * zero rejections: the offered rate is deliberately under capacity, so
   any ``overloaded`` response means admission control misfired;
 * ``batched_requests > 0`` — micro-batching demonstrably coalesced
-  requests into shared ``query_batch`` dispatches;
+  requests into shared ``query_batch`` dispatches.  The daemon forms
+  batches from its backlog, and an under-capacity open loop leaves none,
+  so the harness ends with one pipelined burst of ``2 * max_batch``
+  requests in a single write, answered and verified like the rest;
 * on runners with >= 4 schedulable cpus, client-observed p99 stays
   under ``REPRO_SERVE_P99_MS`` (default 500).  Single-core machines
   record the percentiles without the latency gate — the daemon, the
@@ -44,7 +47,6 @@ from service_harness import measure_serve_latency
 
 K_MAX = 6
 QUERIES_PER_REQUEST = 2
-BATCH_WINDOW_MS = 10.0
 GATED_CPUS = 4
 
 
@@ -65,7 +67,7 @@ def _measure():
     report = measure_serve_latency(
         index, num_requests=num_requests,
         queries_per_request=QUERIES_PER_REQUEST, rate_qps=rate_qps,
-        batch_window_ms=BATCH_WINDOW_MS, seed=0, verify=True,
+        seed=0, verify=True,
     )
     return n, report
 
@@ -78,7 +80,7 @@ def test_serve_latency(benchmark):
         ["metric", "value"],
         [["offered rate", f"{report.rate_qps:.0f} req/s"],
          ["requests (x{} queries)".format(report.queries_per_request),
-          str(report.requests)],
+          f"{report.requests} ({report.burst} in the burst)"],
          ["answered / rejected / errors",
           f"{report.answered} / {report.rejected} / {report.errors}"],
          ["mismatches vs in-process oracle", str(report.mismatches)],
@@ -89,13 +91,12 @@ def test_serve_latency(benchmark):
          ["batches dispatched", str(server["batches_dispatched"])],
          ["requests sharing a dispatch", str(server["batched_requests"])]],
         title=f"Serving daemon open-loop latency (n={n}, k_max={K_MAX}, "
-              f"window {BATCH_WINDOW_MS:.0f}ms, {_available_cpus()} cpu)",
+              f"{_available_cpus()} cpu)",
     ))
     emit_json("serve_latency", {
         "n": n,
         "k_max": K_MAX,
         "cpu_count": _available_cpus(),
-        "batch_window_ms": BATCH_WINDOW_MS,
         **report.as_dict(),
     })
     # Gate 1 (acceptance): the daemon answers everything, bit-exactly.
@@ -109,7 +110,8 @@ def test_serve_latency(benchmark):
     # rejected; an overload here is an admission-control bug.
     assert report.rejected == 0, (
         f"{report.rejected} requests rejected at an under-capacity rate")
-    # Gate 3 (acceptance): micro-batching actually coalesced requests.
+    # Gate 3 (acceptance): micro-batching actually coalesced requests
+    # (the closing burst queues behind its first request).
     assert server["batched_requests"] > 0, (
         "no two requests ever shared a dispatch — micro-batching inactive")
     assert server["batches_dispatched"] < report.requests

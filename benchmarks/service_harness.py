@@ -12,9 +12,10 @@ A randomized mix of ``(objective, k)`` requests is served several ways —
   several worker counts (:func:`measure_concurrent_throughput`), with the
   build-calls and matrices-computed-once invariants asserted under
   contention;
-* **open loop** — a serving daemon (:func:`measure_serve_latency`) or an
-  in-process service under concurrent ingest
-  (:func:`measure_mixed_workload`) driven at a fixed request rate.
+* **open loop** — a serving daemon (:func:`measure_serve_latency`, which
+  ends with one pipelined burst) or an in-process service under
+  concurrent ingest (:func:`measure_mixed_workload`) driven at a fixed
+  request rate.
 
 Each harness asserts its own invariants, so a benchmark that runs one is
 also a test.  ``bench_service_throughput.py``, ``bench_serve_latency.py``
@@ -346,13 +347,16 @@ class ServeLatencyReport:
     ``overloaded``/``shutting_down`` responses (explicit backpressure),
     ``errors`` everything else that was not an answer, ``mismatches``
     answers that differed from the in-process expectation (must be 0 —
-    the harness *is* the bit-identity test).  ``server`` is the daemon's
-    final ``stats()["server"]`` block; its ``batched_requests`` counter
-    is the proof that micro-batching actually coalesced requests.
+    the harness *is* the bit-identity test).  ``requests`` and the
+    counters include the ``burst`` requests sent in one write after the
+    open loop; ``latency`` samples the open loop only.  ``server`` is the
+    daemon's final ``stats()["server"]`` block; its ``batched_requests``
+    counter is the proof that micro-batching coalesced the burst.
     """
 
     rate_qps: float
     requests: int
+    burst: int
     queries_per_request: int
     answered: int
     rejected: int
@@ -415,20 +419,8 @@ async def open_loop_load(host: str, port: int, requests: list[list[Query]],
                      counts["errors"]))
                 return
             response = protocol.decode_response(line)
-            index = response.get("id")
-            if response.get("ok"):
-                counts["answered"] += 1
-                latencies.append(loop.time() - sent_at[index])
-                if expected is not None and index in expected:
-                    got = [(result.value, tuple(result.indices))
-                           for result in protocol.results_of(response)]
-                    if got != expected[index]:
-                        counts["mismatches"] += 1
-            elif response["error"]["code"] in ("overloaded",
-                                               "shutting_down"):
-                counts["rejected"] += 1
-            else:
-                counts["errors"] += 1
+            if _tally(response, counts, expected):
+                latencies.append(loop.time() - sent_at[response["id"]])
 
     started = loop.time()
     producer = asyncio.ensure_future(produce())
@@ -443,6 +435,59 @@ async def open_loop_load(host: str, port: int, requests: list[list[Query]],
             pass
     return {**counts, "latencies": latencies,
             "duration_seconds": loop.time() - started}
+
+
+def _tally(response: dict, counts: dict, expected: dict | None) -> bool:
+    """Count one response into *counts*; ``True`` when it is an answer.
+
+    Answers are checked against *expected* (request id to the in-process
+    ``(value, indices)`` list) when given.
+    """
+    if response.get("ok"):
+        counts["answered"] += 1
+        request_id = response.get("id")
+        if expected is not None and request_id in expected:
+            got = [(result.value, tuple(result.indices))
+                   for result in protocol.results_of(response)]
+            if got != expected[request_id]:
+                counts["mismatches"] += 1
+        return True
+    if response["error"]["code"] in ("overloaded", "shutting_down"):
+        counts["rejected"] += 1
+    else:
+        counts["errors"] += 1
+    return False
+
+
+async def pipelined_burst(host: str, port: int,
+                          requests: dict[int, list[Query]],
+                          expected: dict | None = None) -> dict:
+    """Send *requests* (id to queries) in one write and tally the replies.
+
+    The daemon forms batches from its backlog, so an under-capacity open
+    loop — each request alone on an idle daemon — never coalesces; a
+    burst longer than ``max_batch`` queues behind its own first request
+    and must.  Returns ``{"answered", "rejected", "errors",
+    "mismatches"}``, checked against *expected* like
+    :func:`open_loop_load`.
+    """
+    counts = {"answered": 0, "rejected": 0, "errors": 0, "mismatches": 0}
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write("".join(
+            protocol.encode_request("query", request_id, queries=queries)
+            for request_id, queries in requests.items()).encode())
+        await writer.drain()
+        for received in range(len(requests)):
+            line = await reader.readline()
+            if not line:
+                counts["errors"] += len(requests) - received
+                break
+            _tally(protocol.decode_response(line), counts, expected)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    return counts
 
 
 @dataclass
@@ -607,7 +652,6 @@ def measure_mixed_workload(
 def measure_serve_latency(index, *, num_requests: int = 64,
                           queries_per_request: int = 1,
                           rate_qps: float = 100.0,
-                          batch_window_ms: float = 20.0,
                           max_queue: int = 256,
                           seed: int | None = 0,
                           verify: bool = True) -> ServeLatencyReport:
@@ -615,7 +659,9 @@ def measure_serve_latency(index, *, num_requests: int = 64,
 
     Starts a :class:`~repro.service.server.DiversityServer` over *index*
     on an ephemeral localhost port, drives it with
-    :func:`open_loop_load` at *rate_qps*, drains the server, and folds
+    :func:`open_loop_load` at *rate_qps*, then sends one
+    :func:`pipelined_burst` of ``2 * max_batch`` more requests (the
+    backlog the daemon must coalesce), drains the server, and folds
     the client samples and the daemon's final ``server`` stats block
     into a :class:`ServeLatencyReport`.  With *verify* (the default)
     every answer is compared against an in-process
@@ -625,12 +671,14 @@ def measure_serve_latency(index, *, num_requests: int = 64,
     """
     check_positive_int(num_requests, "num_requests")
     check_positive_int(queries_per_request, "queries_per_request")
+    config = ServerConfig(max_queue=max_queue)
+    burst = 2 * config.max_batch
+    total = num_requests + burst
     k_max = int(index.ladder.get("k_max", 4))
-    workload = make_workload(k_max, num_requests * queries_per_request,
-                             seed=seed)
+    workload = make_workload(k_max, total * queries_per_request, seed=seed)
     requests = [workload[i * queries_per_request:
                          (i + 1) * queries_per_request]
-                for i in range(num_requests)]
+                for i in range(total)]
     expected = None
     if verify:
         with DiversityService(index,
@@ -640,30 +688,34 @@ def measure_serve_latency(index, *, num_requests: int = 64,
             i: [(result.value, tuple(result.indices))
                 for result in answers[i * queries_per_request:
                                       (i + 1) * queries_per_request]]
-            for i in range(num_requests)}
+            for i in range(total)}
 
-    async def run() -> tuple[dict, dict]:
-        """Start the daemon, run the open loop, drain, snapshot stats."""
+    async def run() -> tuple[dict, dict, dict]:
+        """Start the daemon, run the open loop and the burst, drain."""
         service = DiversityService(index, cache_size=max(128, len(workload)))
-        server = DiversityServer(service, ServerConfig(
-            batch_window_ms=batch_window_ms, max_queue=max_queue))
+        server = DiversityServer(service, config)
         host, port = await server.start()
         try:
-            outcome = await open_loop_load(host, port, requests, rate_qps,
-                                           expected)
+            outcome = await open_loop_load(
+                host, port, requests[:num_requests], rate_qps, expected)
+            burst_counts = await pipelined_burst(
+                host, port, {i: requests[i]
+                             for i in range(num_requests, total)},
+                expected)
         finally:
             await server.shutdown()
-        return outcome, server.stats()["server"]
+        return outcome, burst_counts, server.stats()["server"]
 
-    outcome, server_stats = asyncio.run(run())
+    outcome, burst_counts, server_stats = asyncio.run(run())
     return ServeLatencyReport(
         rate_qps=rate_qps,
-        requests=num_requests,
+        requests=total,
+        burst=burst,
         queries_per_request=queries_per_request,
-        answered=outcome["answered"],
-        rejected=outcome["rejected"],
-        errors=outcome["errors"],
-        mismatches=outcome["mismatches"],
+        answered=outcome["answered"] + burst_counts["answered"],
+        rejected=outcome["rejected"] + burst_counts["rejected"],
+        errors=outcome["errors"] + burst_counts["errors"],
+        mismatches=outcome["mismatches"] + burst_counts["mismatches"],
         duration_seconds=outcome["duration_seconds"],
         latency=latency_summary(outcome["latencies"]),
         server=server_stats,

@@ -287,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     dmn.add_argument("--port", type=int, default=0,
                      help="TCP port (0: pick an ephemeral port and "
                           "print it)")
-    dmn.add_argument("--batch-window-ms", type=float, default=20.0,
-                     help="micro-batching window: after the first queued "
-                          "request, wait up to this long to coalesce more "
-                          "into one query_batch call (0 disables)")
     dmn.add_argument("--max-queue", type=int, default=64,
                      help="bounded admission queue; beyond it requests "
                           "are rejected with 'overloaded' + retry-after "
@@ -302,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "each tenant's manifest quota (weight, "
                           "max_queue, rate limit; see 'registry add')")
     dmn.add_argument("--max-batch", type=int, default=16,
-                     help="most requests one dispatch may coalesce")
+                     help="most requests one dispatch may coalesce; a "
+                          "batch is whatever queued while the previous "
+                          "one ran, so no timer holds requests back")
     dmn.add_argument("--drain-timeout-s", type=float, default=30.0,
                      help="longest a SIGTERM drain waits for in-flight "
                           "work before giving up on dead peers")
@@ -650,7 +648,6 @@ def _serve(args: argparse.Namespace) -> int:
         source = args.index
     server = DiversityServer(service, ServerConfig(
         host=args.host, port=args.port,
-        batch_window_ms=args.batch_window_ms,
         max_queue=args.max_queue, max_batch=args.max_batch,
         drain_timeout_s=args.drain_timeout_s, qos=args.qos))
 
@@ -660,7 +657,7 @@ def _serve(args: argparse.Namespace) -> int:
         await ready.wait()
         host, port = server.address
         print(f"serving {source} on {host}:{port} "
-              f"(NDJSON + HTTP; batch window {args.batch_window_ms}ms, "
+              f"(NDJSON + HTTP; max batch {args.max_batch}, "
               f"queue {args.max_queue}; SIGTERM drains)", flush=True)
         await daemon
         stats = server.stats()["server"]

@@ -257,7 +257,7 @@ class WeightedDeficitRoundRobin:
     deficit-round-robin order.  Within a tenant, dispatch order is
     strictly FIFO; across tenants, long-run shares converge to the
     weight ratio, and every backlogged tenant is served at least once
-    per round — the starvation-freedom bound the daemon's batch window
+    per round — the starvation-freedom bound each daemon batch
     inherits.
 
     Tenants unknown at construction (registered after the daemon

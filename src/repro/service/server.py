@@ -20,11 +20,11 @@ The serving pipeline, in order:
    ``shutting_down`` (HTTP 503).  The server never buffers unboundedly —
    backpressure is explicit.
 2. **Micro-batching** — a single collector task takes the oldest admitted
-   request, then keeps collecting until ``batch_window_ms`` elapses or
-   ``max_batch`` requests are gathered, and submits the coalesced query
-   list as ONE :meth:`~repro.service.service.DiversityService.query_batch`
-   call, so same-rung queries from different clients share matrix
-   fetches and LRU probes.  Results are split back per request in order.
+   request plus whatever already queued behind it (up to ``max_batch``)
+   and at once submits the coalesced query list as ONE
+   :meth:`~repro.service.service.DiversityService.query_batch` call, so
+   same-rung queries from different clients share matrix fetches and
+   LRU probes.  Results are split back per request in order.
 3. **Dispatch** — the blocking ``query_batch`` runs on a two-slot thread
    pool: one slot for query batches, one for background ``refresh``
    (dataset absorption swaps epochs atomically service-side, so readers
@@ -95,12 +95,11 @@ _HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 class ServerConfig:
     """Tunables of one :class:`DiversityServer`.
 
-    ``batch_window_ms`` is the micro-batching horizon: after the first
-    request of a batch arrives, the collector waits at most this long
-    for more before dispatching (0 disables coalescing).  ``max_queue``
-    bounds the admission queue — the ``overloaded`` rejection threshold
-    — and ``max_batch`` caps how many admitted requests one dispatch may
-    coalesce.  ``retry_after_ms`` is the hint returned with rejections.
+    ``max_queue`` bounds the admission queue — the ``overloaded``
+    rejection threshold — and ``max_batch`` caps how many queued
+    requests one dispatch may coalesce; a batch is whatever queued while
+    the previous one ran, so there is no batching timer to tune.
+    ``retry_after_ms`` is the hint returned with rejections.
     ``drain_timeout_s`` caps how long shutdown waits for in-flight work.
     ``qos`` (registry mode only — ``repro serve --qos``) replaces the
     single admission queue with per-tenant queues drained in weighted
@@ -111,7 +110,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    batch_window_ms: float = 20.0
     max_queue: int = 64
     max_batch: int = 16
     retry_after_ms: float = 50.0
@@ -119,11 +117,11 @@ class ServerConfig:
     qos: bool = False
 
     def __post_init__(self):
-        """Validate the queue/batch bounds and non-negative windows."""
+        """Validate the queue/batch bounds and the retry hint."""
         check_positive_int(self.max_queue, "max_queue")
         check_positive_int(self.max_batch, "max_batch")
-        if self.batch_window_ms < 0 or self.retry_after_ms < 0:
-            raise ValueError("windows must be non-negative")
+        if self.retry_after_ms < 0:
+            raise ValueError("retry_after_ms must be non-negative")
 
 
 @dataclass
@@ -134,19 +132,14 @@ class _ClientStats:
     rejected: int = 0
     queries: int = 0
 
-    def as_dict(self) -> dict:
-        """JSON-ready counter triple."""
-        return {"accepted": self.accepted, "rejected": self.rejected,
-                "queries": self.queries}
-
 
 @dataclass
 class ServerStats:
     """Global serving counters, snapshot under ``stats()["server"]``.
 
     ``batched_requests`` counts requests that shared a dispatch with at
-    least one other request — the micro-batching-is-actually-happening
-    signal the serve benchmark gates on.  ``rejected_overload`` and
+    least one other request — only a backlog (requests queued behind a
+    running batch) coalesces.  ``rejected_overload`` and
     ``rejected_draining`` split the two admission-control outcomes;
     ``internal_errors`` counts request-crashing bugs (gated to zero).
     ``rejected_datasets`` splits every rejection by the tenant it
@@ -209,6 +202,10 @@ class _Work:
         self.future = future
         self.peer = peer
         self.admitted_at = time.perf_counter()
+
+
+class _LineTooLong(Exception):
+    """A line ran past ``_MAX_LINE`` and was answered; close the stream."""
 
 
 #: Queue item that tells the collector to exit after the current batch.
@@ -288,7 +285,8 @@ class DiversityServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port)
+            self._handle_connection, self.config.host, self.config.port,
+            limit=_MAX_LINE)
         self._collector = asyncio.create_task(self._batch_loop())
         self._started_at = time.perf_counter()
         return self.address
@@ -421,63 +419,38 @@ class DiversityServer:
             self._idle.set()
 
     async def _batch_loop(self) -> None:
-        """Collect admitted requests into micro-batches and dispatch.
+        """Form micro-batches from the backlog and dispatch them.
 
         The single consumer of the admission queue: it blocks on the
-        oldest request, gathers more until the batching window closes
-        (or ``max_batch`` is hit), dispatches the coalesced batch, and
-        repeats until the shutdown sentinel arrives.
+        oldest request, takes whatever already queued behind it (up to
+        ``max_batch``), dispatches at once, and repeats until the
+        shutdown sentinel arrives.  Requests that arrive while a batch
+        runs form the next one: batches grow with load, and no request
+        waits on a clock.
 
         In QoS mode the queue carries wake tokens, not work: each token
         redeems one :meth:`WeightedDeficitRoundRobin.take`, so the
         batch fills in WDRR order over whatever backlog exists at that
         moment — a flooded tenant's wall of requests interleaves with
-        every other backlogged tenant inside the same window, which is
+        every other backlogged tenant inside the same batch, which is
         exactly the starvation-freedom bound the QoS tests gate.
         """
-        loop = asyncio.get_running_loop()
-        window = self.config.batch_window_ms / 1e3
         while True:
-            first = await self._queue.get()
-            if first is _SENTINEL:
-                return
-            batch = []
-            work = self._redeem(first)
-            if work is not None:
-                batch.append(work)
-            stop_after = False
-            deadline = loop.time() + window
-            while len(batch) < self.config.max_batch:
-                timeout = deadline - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self._queue.get(),
-                                                  timeout)
-                except asyncio.TimeoutError:
-                    break
-                if item is _SENTINEL:
-                    stop_after = True
-                    break
-                work = self._redeem(item)
+            item = await self._queue.get()
+            batch: list[_Work] = []
+            while item is not _SENTINEL:
+                # QoS: a wake token for the next request in WDRR order.
+                work = item if self.qos is None else self.qos.take()
                 if work is not None:
                     batch.append(work)
+                if len(batch) >= self.config.max_batch \
+                        or self._queue.empty():
+                    break
+                item = self._queue.get_nowait()
             if batch:
                 await self._dispatch(batch)
-            if stop_after:
+            if item is _SENTINEL:
                 return
-
-    def _redeem(self, item) -> "_Work | None":
-        """Turn one queue item into admitted work.
-
-        Single-queue mode: the item *is* the work.  QoS mode: the item
-        is a wake token and the next request comes from the scheduler
-        in WDRR order (``None`` only defensively — token and backlog
-        counts match by construction).
-        """
-        if self.qos is None:
-            return item
-        return self.qos.take()
 
     def _query_batch_blocking(self, dataset: str | None, queries: list):
         """One coalesced ``query_batch`` call (query-slot thread)."""
@@ -664,14 +637,15 @@ class DiversityServer:
         if task is not None:
             self._handlers.add(task)
         try:
-            first = await reader.readline()
+            first = await self._read_line(reader, writer, http=None)
             if not first:
                 return
             if first.startswith(_HTTP_METHODS) and b"HTTP/1." in first:
                 await self._handle_http(first, reader, writer, peer)
             else:
                 await self._handle_ndjson(first, reader, writer, peer)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (ConnectionResetError, asyncio.IncompleteReadError,
+                _LineTooLong):
             pass
         except asyncio.CancelledError:
             # Shutdown cancels idle handlers; exit quietly so asyncio's
@@ -708,16 +682,19 @@ class DiversityServer:
                 await writer.drain()
 
         line = first
-        while line:
-            if line.strip():
-                task = asyncio.create_task(respond(line))
-                tasks.add(task)
-                self._conn_tasks.add(task)
-                task.add_done_callback(tasks.discard)
-                task.add_done_callback(self._conn_tasks.discard)
-            line = await reader.readline()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        try:
+            while line:
+                if line.strip():
+                    task = asyncio.create_task(respond(line))
+                    tasks.add(task)
+                    self._conn_tasks.add(task)
+                    task.add_done_callback(tasks.discard)
+                    task.add_done_callback(self._conn_tasks.discard)
+                line = await self._read_line(reader, writer, http=False)
+        finally:
+            # Requests read before the stream ended are still answered.
+            if tasks:
+                await asyncio.gather(*tasks, return_exceptions=True)
 
     async def _handle_http(self, request_line: bytes,
                            reader: asyncio.StreamReader,
@@ -732,18 +709,23 @@ class DiversityServer:
             return
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader, writer, http=True)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        body = b""
-        length = int(headers.get("content-length") or 0)
-        if length > _MAX_LINE:
+        # Zeros go first: int() refuses more than 4300 digits.
+        length = (headers.get("content-length") or "0").lstrip("0") or "0"
+        if not length.isdecimal():
+            self.stats_counters.bad_requests += 1
+            await self._write_http(writer, 400, {
+                "error": f"Content-Length {length!r} is not a "
+                         "non-negative integer"})
+            return
+        if len(length) > len(str(_MAX_LINE)) or int(length) > _MAX_LINE:
             await self._write_http(writer, 413, {"error": "body too large"})
             return
-        if length:
-            body = await reader.readexactly(length)
+        body = await reader.readexactly(int(length))
         self.stats_counters.http_requests += 1
         await self._route_http(method.upper(), target, body, writer, peer)
 
@@ -800,6 +782,33 @@ class DiversityServer:
         await self._write_http(writer, 404,
                                {"error": f"no route {method} {target}"})
 
+    async def _read_line(self, reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter, *,
+                         http: bool | None) -> bytes:
+        """``reader.readline()``, answering a line past ``_MAX_LINE``.
+
+        Such a line gets one error — HTTP 400, or a ``bad_request`` line
+        with a null ``id`` — and :class:`_LineTooLong` then ends the
+        connection with the line's rest unread.  A connection's first
+        line (*http* ``None``) is sniffed for its framing by its head.
+        """
+        try:
+            return await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return exc.partial
+        except asyncio.LimitOverrunError:
+            if http is None:
+                http = (await reader.read(16)).startswith(_HTTP_METHODS)
+        self.stats_counters.bad_requests += 1
+        message = f"line longer than {_MAX_LINE} bytes"
+        if http:
+            await self._write_http(writer, 400, {"error": message})
+        else:
+            writer.write(protocol.encode_error(
+                None, protocol.ERROR_BAD_REQUEST, message).encode())
+            await writer.drain()
+        raise _LineTooLong(message)
+
     async def _write_http(self, writer: asyncio.StreamWriter, status: int,
                           payload: dict,
                           extra_headers: dict[str, str] | None = None
@@ -834,7 +843,6 @@ class DiversityServer:
         is off).  ``GET /stats`` and the NDJSON ``stats`` kind both
         return exactly this payload.
         """
-        counters = self.stats_counters
         payload = self.service.stats()
         payload["server"] = {
             "draining": self._draining,
@@ -843,27 +851,15 @@ class DiversityServer:
                 time.perf_counter() - self._started_at
                 if self._started_at is not None else 0.0),
             "config": {
-                "batch_window_ms": self.config.batch_window_ms,
                 "max_queue": self.config.max_queue,
                 "max_batch": self.config.max_batch,
                 "retry_after_ms": self.config.retry_after_ms,
                 "qos": self.config.qos,
             },
-            "connections": counters.connections,
-            "http_requests": counters.http_requests,
-            "accepted": counters.accepted,
-            "rejected_overload": counters.rejected_overload,
-            "rejected_draining": counters.rejected_draining,
-            "bad_requests": counters.bad_requests,
-            "internal_errors": counters.internal_errors,
-            "batches_dispatched": counters.batches_dispatched,
-            "batched_requests": counters.batched_requests,
-            "queries_served": counters.queries_served,
-            "refreshes": counters.refreshes,
+            # Every ServerStats counter, ``clients`` and
+            # ``rejected_datasets`` included, as a deep copy.
+            **dataclasses.asdict(self.stats_counters),
             "latency": latency_summary(self._latencies),
-            "clients": {peer: client.as_dict()
-                        for peer, client in counters.clients.items()},
-            "rejected_datasets": dict(counters.rejected_datasets),
             "qos": self.qos.stats() if self.qos is not None else None,
         }
         return payload

@@ -6,7 +6,7 @@ an injected fake clock:
 * WDRR fairness — two backlogged tenants at weights 2:1 split dispatch
   within ±10% over 1k synthetic requests (exactly 2:1, in fact);
 * starvation-freedom — a flooded tenant pushes an under-quota tenant
-  back by at most one round (≤ one daemon batch window);
+  back by at most one round (≤ one daemon batch);
 * token-bucket refill edge cases — burst at start, drain to empty,
   fractional refill, and the zero-rate kill switch;
 * admission bookkeeping — per-tenant queue bounds, rejection reasons,
@@ -130,9 +130,9 @@ def test_wdrr_flooded_tenant_cannot_starve_cold_tenant():
     """A cold request lands within one round of a hot flood.
 
     The daemon's collector redeems one ``take()`` per admitted request
-    up to ``max_batch`` per batch window; bounding the cold request's
+    up to ``max_batch`` per batch; bounding the cold request's
     dispatch *position* therefore bounds its delay to at most one
-    window whenever the bound fits in a batch.
+    batch whenever the bound fits in a batch.
     """
     scheduler, _ = make_scheduler({"hot": TenantQuota(weight=4.0),
                                    "cold": TenantQuota(weight=1.0)})

@@ -6,8 +6,10 @@ toolchain).  Covered contracts:
 
 * daemon answers — NDJSON and HTTP — are bit-identical to in-process
   ``query_batch`` on the same index;
-* micro-batching coalesces pipelined requests (and the batched-request
-  counter proves it);
+* micro-batching forms batches from the backlog: pipelined requests
+  coalesce (and the batched-request counter proves it), a lone request
+  dispatches alone without waiting for company, and a backlog behind a
+  running batch splits into batches of at most ``max_batch``;
 * a full admission queue rejects cleanly with ``overloaded`` +
   ``retry_after_ms`` while every admitted request is still answered;
 * graceful drain answers everything admitted, exactly once, and a
@@ -23,21 +25,28 @@ toolchain).  Covered contracts:
   k or rungs;
 * a wire ``k`` that is not a positive int is refused at decode with
   ``bad_request`` (HTTP 400), and the valid requests batched beside it
-  are still answered.
+  are still answered;
+* wire input past the limits gets one error reply, never a crashed
+  connection handler: requests up to ``_MAX_LINE`` are served, a longer
+  line gets ``bad_request`` (HTTP 400) and a close, and a
+  ``Content-Length`` that is not a non-negative integer gets HTTP 400.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.datasets.loaders import save_points
 from repro.metricspace.points import PointSet
 from repro.service import (
@@ -51,7 +60,7 @@ from repro.service import (
     make_workload,
 )
 from repro.service import protocol
-from repro.service.server import _Work
+from repro.service.server import _MAX_LINE, _Work
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +99,7 @@ def test_tcp_answers_bit_identical_to_in_process(index):
         expected = [result_key(r) for r in oracle.query_batch(workload)]
 
     async def run():
-        server = fresh_server(index, batch_window_ms=5.0)
+        server = fresh_server(index)
         host, port = await server.start()
         try:
             lines = [protocol.encode_request("query", i, queries=[query])
@@ -106,7 +115,8 @@ def test_tcp_answers_bit_identical_to_in_process(index):
     got = [result_key(protocol.results_of(by_id[i])[0])
            for i in range(len(workload))]
     assert got == expected
-    # Pipelined requests were coalesced by the micro-batching window.
+    # The pipelined burst queued behind its first request and was
+    # coalesced from that backlog.
     assert stats["server"]["batched_requests"] > 0
     assert stats["server"]["batches_dispatched"] < len(workload)
     assert stats["server"]["accepted"] == len(workload)
@@ -135,7 +145,7 @@ def test_http_adapter_matches_in_process(index):
         return status, json.loads(raw.split(b"\r\n\r\n", 1)[1])
 
     async def run():
-        server = fresh_server(index, batch_window_ms=1.0)
+        server = fresh_server(index)
         host, port = await server.start()
         try:
             answered = await http(
@@ -163,11 +173,11 @@ def test_http_adapter_matches_in_process(index):
 
 
 def test_full_queue_rejects_cleanly_with_retry_after(index):
-    # window=0 + burst in one segment: every request line is admitted
-    # before the collector runs, so the tiny queue must overflow.
+    # A burst in one segment: every request line is admitted before the
+    # collector runs, so the tiny queue must overflow.
     async def run():
-        server = fresh_server(index, batch_window_ms=0.0, max_queue=2,
-                              max_batch=2, retry_after_ms=25.0)
+        server = fresh_server(index, max_queue=2, max_batch=2,
+                              retry_after_ms=25.0)
         host, port = await server.start()
         try:
             lines = [protocol.encode_request(
@@ -196,36 +206,150 @@ def test_full_queue_rejects_cleanly_with_retry_after(index):
     assert client["rejected"] == len(rejected)
 
 
+def gate_first_batch(server):
+    """Make *server*'s first ``query_batch`` hold the query slot.
+
+    Returns ``(entered, release)``: *entered* is set once the first
+    batch runs, and that batch blocks until *release* is set.  Only the
+    query-slot thread calls ``query_batch``, so the flag needs no lock.
+    """
+    entered, release = threading.Event(), threading.Event()
+    query_batch = server.service.query_batch
+
+    def gated(queries):
+        if not entered.is_set():
+            entered.set()
+            release.wait(timeout=30)
+        return query_batch(queries)
+
+    server.service.query_batch = gated
+    return entered, release
+
+
+async def wait_until(condition, timeout=10.0):
+    """Poll *condition* on the event loop until it holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not condition():
+        assert asyncio.get_running_loop().time() < deadline, \
+            "condition never held"
+        await asyncio.sleep(0.001)
+
+
+def query_line(request_id, k=3):
+    return protocol.encode_request(
+        "query", request_id, queries=[Query("remote-edge", k, 1.0)])
+
+
 def test_drain_answers_admitted_work_and_rejects_new(index):
     async def run():
-        server = fresh_server(index, batch_window_ms=50.0, max_queue=32)
+        server = fresh_server(index, max_queue=32)
+        entered, release = gate_first_batch(server)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
-        for i in range(6):
-            writer.write(protocol.encode_request(
-                "query", i, queries=[Query("remote-edge", 2 + i % 3, 1.0)]
-            ).encode())
-        await writer.drain()
-        # Begin draining while the batch window is still open.
-        await asyncio.sleep(0.005)
-        shutdown = asyncio.ensure_future(server.shutdown())
-        responses = [protocol.decode_response(await reader.readline())
-                     for _ in range(6)]
-        await shutdown
-        writer.close()
-        await writer.wait_closed()
+        try:
+            writer.write(query_line(0).encode())
+            await writer.drain()
+            await wait_until(entered.is_set)
+            for i in range(1, 6):
+                writer.write(query_line(i, 2 + i % 3).encode())
+            await writer.drain()
+            await wait_until(lambda: server.stats_counters.accepted == 6)
+            # Drain begins while one batch holds the query slot and five
+            # admitted requests wait behind it.
+            shutdown = asyncio.ensure_future(server.shutdown())
+            await wait_until(lambda: server._draining)
+            release.set()
+            responses = [protocol.decode_response(await reader.readline())
+                         for _ in range(6)]
+            await shutdown
+            trailing = await reader.read()
+        finally:
+            release.set()
+            writer.close()
+            await writer.wait_closed()
 
         # The drained server accepts no new connections.
         with pytest.raises(OSError):
             await asyncio.open_connection(host, port)
-        return responses, server.stats()["server"]
+        return responses, trailing, server.stats()["server"]
 
-    responses, stats = asyncio.run(run())
+    responses, trailing, stats = asyncio.run(run())
     assert [r["id"] for r in responses] == sorted(r["id"] for r in responses)
     assert all(r["ok"] for r in responses), \
         "everything admitted before drain must be answered"
     assert {r["id"] for r in responses} == set(range(6))  # no drops/dupes
+    assert trailing == b"", "nothing may be answered twice"
     assert stats["accepted"] == 6 and stats["queries_served"] == 6
+    # The five queued behind the held batch went out as one.
+    assert stats["batches_dispatched"] == 2
+
+
+def test_lone_request_is_not_held_for_company(index):
+    # Sequential requests never queue behind one another, so each one
+    # dispatches alone and at once: no timer waits for company.
+    async def run():
+        server = fresh_server(index)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            for i in range(10):
+                writer.write(query_line(i).encode())
+                await writer.drain()
+                assert protocol.decode_response(await reader.readline())["ok"]
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await server.shutdown()
+        return server.stats()["server"]
+
+    stats = asyncio.run(run())
+    assert stats["batches_dispatched"] == 10
+    assert stats["batched_requests"] == 0
+    assert stats["latency"]["count"] == 10
+    assert stats["latency"]["p50_ms"] < 5.0, stats["latency"]
+
+
+def test_backlog_forms_the_next_batch(index):
+    max_batch = ServerConfig().max_batch
+    workload = [Query("remote-edge", 2 + i % 4, 1.0)
+                for i in range(max_batch + 3)]
+    with DiversityService(index, cache_size=256) as oracle:
+        expected = [result_key(r) for r in oracle.query_batch(workload)]
+
+    async def run():
+        server = fresh_server(index)
+        entered, release = gate_first_batch(server)
+        host, port = await server.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        lines = [protocol.encode_request("query", i, queries=[query])
+                 for i, query in enumerate(workload)]
+        try:
+            writer.write(lines[0].encode())
+            await writer.drain()
+            await wait_until(entered.is_set)
+            for line in lines[1:]:
+                writer.write(line.encode())
+            await writer.drain()
+            await wait_until(
+                lambda: server.stats_counters.accepted == len(lines))
+            release.set()
+            responses = [protocol.decode_response(await reader.readline())
+                         for _ in lines]
+        finally:
+            release.set()
+            writer.close()
+            await writer.wait_closed()
+            await server.shutdown()
+        return responses, server.stats()["server"]
+
+    responses, stats = asyncio.run(run())
+    by_id = {r["id"]: r for r in responses}
+    assert [result_key(protocol.results_of(by_id[i])[0])
+            for i in range(len(workload))] == expected
+    # A alone, then the max_batch + 2 queued behind it: a full batch of
+    # max_batch and a second batch of the two left over.
+    assert stats["batches_dispatched"] == 3
+    assert stats["batched_requests"] == max_batch + 2
 
 
 def test_draining_server_rejects_with_shutting_down(index):
@@ -257,7 +381,7 @@ def test_refresh_under_load_never_mixes_epochs(index, tmp_path):
     save_points(extra, data_path)
 
     async def run():
-        server = fresh_server(index, batch_window_ms=2.0, max_queue=256)
+        server = fresh_server(index, max_queue=256)
         host, port = await server.start()
         reader, writer = await asyncio.open_connection(host, port)
         workload = make_workload(5, 30, seed=9)
@@ -342,7 +466,7 @@ def test_registry_server_routes_by_dataset(tenant_indexes):
         "test needs tenants with distinguishable answers"
 
     async def run():
-        server = fresh_registry_server(tenant_indexes, batch_window_ms=5.0)
+        server = fresh_registry_server(tenant_indexes)
         host, port = await server.start()
         try:
             lines = [protocol.encode_request("query", name, queries=[query],
@@ -378,7 +502,7 @@ def test_registry_server_http_tenants_and_404(tenant_indexes):
     query = Query("remote-clique", 4, 1.0)
 
     async def run():
-        server = fresh_registry_server(tenant_indexes, batch_window_ms=1.0)
+        server = fresh_registry_server(tenant_indexes)
         host, port = await server.start()
         try:
             routed = await _http(
@@ -416,7 +540,7 @@ def test_registry_server_refresh_targets_one_tenant(tenant_indexes,
     query = Query("remote-edge", 4, 1.0)
 
     async def run():
-        server = fresh_registry_server(tenant_indexes, batch_window_ms=1.0)
+        server = fresh_registry_server(tenant_indexes)
         host, port = await server.start()
         try:
             first = await send_lines(host, port, [protocol.encode_request(
@@ -453,7 +577,7 @@ def test_qos_hot_flood_never_starves_cold_tenant(tenant_indexes):
                           quota=TenantQuota(weight=1.0, max_queue=2))
         registry.register("eu", tenant_indexes["eu"])
         server = DiversityServer(registry, ServerConfig(
-            qos=True, batch_window_ms=1.0, max_batch=4))
+            qos=True, max_batch=4))
         host, port = await server.start()
         try:
             async def flood():
@@ -548,7 +672,7 @@ def test_bad_wire_k_is_rejected_without_failing_its_batch(index, k):
     bad = {"queries": [{"objective": "remote-edge", "k": k}]}
 
     async def run():
-        server = fresh_server(index, batch_window_ms=20.0)
+        server = fresh_server(index)
         host, port = await server.start()
         try:
             responses = await send_lines(host, port, [
@@ -574,6 +698,143 @@ def test_bad_wire_k_is_rejected_without_failing_its_batch(index, k):
     assert stats["accepted"] == 2
     assert stats["bad_requests"] == 2
     assert stats["internal_errors"] == 0
+
+
+def run_reporting_loop_errors(main):
+    """``asyncio.run(main())`` plus every error the event loop reported.
+
+    A connection handler that lets an exception escape shows up here
+    ("Unhandled exception in client_connected_cb") instead of as a reply.
+    """
+    errors = []
+
+    async def wrapped():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context["message"]))
+        return await main()
+
+    return asyncio.run(wrapped()), errors
+
+
+async def read_until_closed(reader) -> bytes:
+    """Everything the server sends before it closes the connection."""
+    chunks = []
+    try:
+        while chunk := await reader.read(1 << 16):
+            chunks.append(chunk)
+    except ConnectionResetError:  # our unread excess made the close a reset
+        pass
+    return b"".join(chunks)
+
+
+def test_request_longer_than_stream_default_limit_is_answered(index):
+    queries = make_workload(5, 1000, seed=4)
+    line = protocol.encode_request("query", 1, queries=queries)
+    assert len(line) > 1 << 16  # asyncio's default StreamReader limit
+    with DiversityService(index, cache_size=256) as oracle:
+        expected = [result_key(r) for r in oracle.query_batch(queries)]
+
+    async def run():
+        server = fresh_server(index)
+        host, port = await server.start()
+        try:
+            # The answer is longer still; read it past the default limit.
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=1 << 24)
+            writer.write(line.encode())
+            await writer.drain()
+            response = protocol.decode_response(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+        finally:
+            await server.shutdown()
+        return response
+
+    response, errors = run_reporting_loop_errors(run)
+    assert response["ok"], response
+    assert [result_key(r) for r in protocol.results_of(response)] \
+        == expected
+    assert errors == []
+
+
+def send_raw(index, payload: bytes):
+    """Write *payload* to a fresh daemon; return what it sent back.
+
+    Returns ``(raw reply, server stats block, loop-reported errors)``.
+    """
+    async def run():
+        server = fresh_server(index)
+        host, port = await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(payload)
+            await writer.drain()
+            raw = await read_until_closed(reader)
+            writer.close()
+            with contextlib.suppress(ConnectionResetError):
+                await writer.wait_closed()
+        finally:
+            await server.shutdown()
+        return raw, server.stats()["server"]
+
+    (raw, stats), errors = run_reporting_loop_errors(run)
+    return raw, stats, errors
+
+
+LONG = b"x" * (_MAX_LINE + 1)
+
+
+@pytest.mark.parametrize("before", [[], [0]],
+                         ids=["first-line", "after-a-request"])
+def test_ndjson_line_over_the_limit_gets_bad_request_and_a_close(index,
+                                                                 before):
+    payload = b"".join(query_line(i).encode() for i in before) + LONG
+    raw, stats, errors = send_raw(index, payload + b"\n")
+    by_id = {r["id"]: r for r in map(protocol.decode_response,
+                                     raw.splitlines())}
+    assert by_id[None]["error"]["code"] == "bad_request"
+    assert str(_MAX_LINE) in by_id[None]["error"]["message"]
+    # Requests before the long line are still answered, once each.
+    assert len(raw.splitlines()) == 1 + len(before)
+    assert set(by_id) == {None, *before}
+    assert all(by_id[i]["ok"] for i in before)
+    assert stats["accepted"] == len(before)
+    assert stats["bad_requests"] == 1
+    assert errors == []
+
+
+@pytest.mark.parametrize("payload", [
+    b"GET /" + LONG + b" HTTP/1.1\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nX-Pad: " + LONG + b"\r\n\r\n",
+], ids=["request-line", "header"])
+def test_http_line_over_the_limit_gets_400_and_a_close(index, payload):
+    raw, stats, errors = send_raw(index, payload)
+    assert raw.startswith(b"HTTP/1.1 400 "), raw[:80]
+    body = json.loads(raw.split(b"\r\n\r\n", 1)[1])
+    assert str(_MAX_LINE) in body["error"]
+    assert stats["bad_requests"] == 1
+    assert errors == []
+
+
+@pytest.mark.parametrize("length, status", [
+    ("abc", 400), ("-5", 400), ("9" * 5000, 413)],
+    ids=["not-a-number", "negative", "more-digits-than-int-parses"])
+def test_bad_content_length_is_refused(index, length, status):
+    raw, stats, errors = send_raw(
+        index, f"POST /query HTTP/1.1\r\nHost: t\r\n"
+               f"Content-Length: {length}\r\n\r\n{{}}".encode())
+    assert raw.startswith(f"HTTP/1.1 {status} ".encode()), raw
+    assert stats["bad_requests"] == (status == 400)
+    assert errors == []
+
+
+def test_batch_window_knob_is_gone():
+    with pytest.raises(TypeError):
+        ServerConfig(batch_window_ms=5.0)
+    assert "batch_window_ms" not in ServerConfig.__dataclass_fields__
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["serve", "--index", "idx", "--batch-window-ms", "5"])
 
 
 def _dispatch_one_batch(make_server, requests):
@@ -650,7 +911,7 @@ def test_sigterm_drains_cli_daemon_cleanly(index, tmp_path):
 
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--index", str(idx),
-         "--port", "0", "--batch-window-ms", "5"],
+         "--port", "0"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         ready = proc.stdout.readline()
