@@ -1,10 +1,10 @@
 """Multi-tenant registry under zipf-skewed load — the ``registry-smoke`` gate.
 
 The :class:`~repro.service.IndexRegistry` promises that serving many
-datasets from one process fleet and one shared-memory matrix plane costs
-only tiering (faults and evictions at the cold tail), never correctness
-or unbounded memory.  This benchmark registers ``REPRO_REGISTRY_TENANTS``
-tenants (default 8) under a matrix budget sized for only
+datasets under one shared matrix budget costs only tiering (faults and
+evictions at the cold tail), never correctness or unbounded memory.
+This benchmark registers ``REPRO_REGISTRY_TENANTS`` tenants (default 8)
+under a matrix budget sized for only
 ``recommend_registry_budget_mb(..., hot_tenants=2)`` of them, drives an
 open-loop query schedule whose tenant choices follow a zipf law (a few
 hot tenants, a long cold tail), and compares the observed tail against a
@@ -14,14 +14,13 @@ Gates (the acceptance criteria of the registry PR):
 
 * zero mismatches — every answer from the tiered multi-tenant registry
   is bit-identical to a per-tenant :class:`DiversityService` oracle;
-* global resident matrix bytes (the shared in-process cache plus the
-  pooled /dev/shm segments), sampled after every request, never exceed
-  the 2-hot-tenant budget even with 8 tenants registered;
+* global resident matrix bytes (the shared in-process cache), sampled
+  after every request, never exceed the 2-hot-tenant budget even with 8
+  tenants registered;
 * tiering demonstrably ran: faults and evictions are non-zero and the
   resident count respects ``max_resident``;
 * ``build_calls == 0`` on every tenant — the query path never rebuilds
   a core-set;
-* zero leaked shared-memory segments after ``close()``;
 * on runners with >= ``GATED_CPUS`` schedulable cpus, the skewed
   multi-tenant p99 stays within ``REPRO_REGISTRY_P99_FACTOR`` (default
   25x) of the single-tenant hot p99.  Single-core machines record the
@@ -43,9 +42,8 @@ Machine-readable results land in
 Knobs: ``REPRO_REGISTRY_TENANTS`` (default 8), ``REPRO_REGISTRY_N``
 points per tenant (default 1500), ``REPRO_REGISTRY_REQUESTS`` (default
 240), ``REPRO_REGISTRY_QPS`` offered rate (default 120),
-``REPRO_REGISTRY_MAX_RESIDENT`` (default 3), ``REPRO_REGISTRY_EXECUTOR``
-(default ``process``), ``REPRO_REGISTRY_ZIPF_S`` skew exponent (default
-1.5); for the QoS block ``REPRO_QOS_N`` (default 1200),
+``REPRO_REGISTRY_MAX_RESIDENT`` (default 3), ``REPRO_REGISTRY_ZIPF_S``
+skew exponent (default 1.5); for the QoS block ``REPRO_QOS_N`` (default 1200),
 ``REPRO_QOS_COLD_REQUESTS`` (default 40), ``REPRO_QOS_COLD_QPS``
 (default 50) and ``REPRO_QOS_FLOOD_WAVE`` (default 32).
 """
@@ -87,25 +85,13 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _shm_segments() -> set[str]:
-    """Names of the POSIX shared-memory segments currently linked."""
-    try:
-        return {name for name in os.listdir("/dev/shm")
-                if name.startswith("psm_")}
-    except FileNotFoundError:  # non-Linux fallback
-        return set()
-
-
 def _result_key(result) -> tuple:
     return (result.value, tuple(result.indices), result.rung)
 
 
 def _resident_bytes(registry: IndexRegistry) -> int:
-    """Global matrix residency: local cache plus pooled /dev/shm blocks."""
-    matrices = registry.stats()["matrices"]
-    total = matrices["local"]["resident_bytes"]
-    shared = matrices.get("shared") or {}
-    return total + shared.get("resident_bytes", 0)
+    """Global matrix residency: the registry's one shared cache."""
+    return registry.stats()["matrices"]["local"]["resident_bytes"]
 
 
 def _drive(registry: IndexRegistry, names: list[str], queries: list,
@@ -136,7 +122,6 @@ def _measure():
     requests = int(os.environ.get("REPRO_REGISTRY_REQUESTS", "240"))
     rate_qps = float(os.environ.get("REPRO_REGISTRY_QPS", "120"))
     max_resident = int(os.environ.get("REPRO_REGISTRY_MAX_RESIDENT", "3"))
-    executor = os.environ.get("REPRO_REGISTRY_EXECUTOR", "process")
     zipf_s = float(os.environ.get("REPRO_REGISTRY_ZIPF_S", "1.5"))
 
     names = [f"tenant-{i:02d}" for i in range(tenants)]
@@ -171,22 +156,18 @@ def _measure():
         peak["bytes"] = max(peak["bytes"], _resident_bytes(registry))
 
     registry = IndexRegistry(matrix_budget_mb=budget_mb,
-                             max_resident=max_resident, executor=executor)
+                             max_resident=max_resident)
     try:
         for name, index in indexes.items():
             registry.register(name, index)
-        # Spin the worker fleet up before the clock starts, on the
-        # hottest tenant (the baseline primes its sole tenant the same
-        # way, keeping the comparison symmetric).
+        # Warm the hottest tenant before the clock starts (the baseline
+        # primes its sole tenant the same way, keeping the comparison
+        # symmetric).
         registry.query_batch([queries[0]], names[0])
         multi_latencies, multi_mismatches = _drive(
             registry, names, queries, schedule, expected, rate_qps,
             sample=sample)
         stats = registry.stats()
-        # Capture the published segments while the hot tenants are still
-        # resident — the build_calls sweep below cycles every tenant
-        # through the cold tier, retiring their planes as it goes.
-        segments_during = set(registry.segment_names())
         build_calls = {}
         for name in names:
             with registry.attach(name) as service:
@@ -194,13 +175,11 @@ def _measure():
                     service.stats()["counters"]["build_calls"]
     finally:
         registry.close()
-    segments_after = set(registry.segment_names())
-    leaked = segments_during & _shm_segments()
 
     # Single-tenant hot baseline: the same rate and query picks, every
     # request aimed at one always-resident tenant.
     solo_schedule = [(0, query_pick) for _, query_pick in schedule]
-    solo = IndexRegistry(matrix_budget_mb=budget_mb, executor=executor)
+    solo = IndexRegistry(matrix_budget_mb=budget_mb)
     try:
         solo.register(names[0], indexes[names[0]])
         solo.query_batch([queries[0]], names[0])
@@ -212,7 +191,7 @@ def _measure():
     return {
         "tenants": tenants, "n": n, "requests": requests,
         "rate_qps": rate_qps, "max_resident": max_resident,
-        "executor": executor, "zipf_s": zipf_s,
+        "zipf_s": zipf_s,
         "budget_mb": budget_mb, "budget_bytes": budget_mb * 2**20,
         "peak_resident_bytes": peak["bytes"],
         "multi": latency_summary(multi_latencies),
@@ -222,9 +201,6 @@ def _measure():
         "build_calls": build_calls,
         "tenant_stats": stats["tenants"],
         "matrices": stats["matrices"],
-        "segments_during": sorted(segments_during),
-        "segments_after": sorted(segments_after),
-        "leaked_segments": sorted(leaked),
     }
 
 
@@ -237,7 +213,7 @@ def test_registry_tiering(benchmark):
         [["tenants (budget sized for)",
           f"{report['tenants']} ({HOT_TENANTS} hot)"],
          ["matrix budget", f"{report['budget_mb']} MiB"],
-         ["peak resident (local + shm)",
+         ["peak resident matrices",
           f"{report['peak_resident_bytes']} B"],
          ["offered rate", f"{report['rate_qps']:.0f} req/s"],
          ["requests (zipf s={})".format(report["zipf_s"]),
@@ -254,7 +230,7 @@ def test_registry_tiering(benchmark):
           f"{solo['p50_ms']:.2f} / {solo['p99_ms']:.2f} ms"]],
         title=f"Multi-tenant registry, zipf-skewed open loop "
               f"(n={report['n']}, k_max={K_MAX}, "
-              f"executor {report['executor']}, {_available_cpus()} cpu)",
+              f"{_available_cpus()} cpu)",
     ))
     emit_json("registry", {
         "k_max": K_MAX,
@@ -269,7 +245,7 @@ def test_registry_tiering(benchmark):
         f"from the single-tenant oracle")
     assert report["solo_mismatches"] == 0
     # Gate 2 (acceptance): 8 tenants, a budget sized for 2 — the global
-    # matrix plane (local cache + /dev/shm segments) never exceeds it.
+    # matrix cache never exceeds it.
     assert report["peak_resident_bytes"] <= report["budget_bytes"], (
         f"resident matrices peaked at {report['peak_resident_bytes']} B, "
         f"over the {report['budget_bytes']} B budget")
@@ -279,16 +255,7 @@ def test_registry_tiering(benchmark):
     assert tenant_stats["resident"] <= report["max_resident"]
     # Gate 4 (acceptance): the query path never rebuilds a core-set.
     assert set(report["build_calls"].values()) == {0}, report["build_calls"]
-    # Gate 5 (acceptance): close() leaves no shared-memory segments —
-    # and the gate is not vacuous: in process mode the data plane was
-    # demonstrably publishing segments while the traffic ran.
-    if report["executor"] == "process":
-        assert report["segments_during"], \
-            "process registry never published a shared segment"
-    assert report["segments_after"] == [], report["segments_after"]
-    assert report["leaked_segments"] == [], (
-        f"segments leaked past close(): {report['leaked_segments']}")
-    # Gate 6 (multi-core only): the skewed tail stays within a bounded
+    # Gate 5 (multi-core only): the skewed tail stays within a bounded
     # factor of the always-hot baseline.  Faults (load .npz, rebuild the
     # service, recompute matrices) dominate the cold tail, so the factor
     # is generous; single-core runners record without gating.

@@ -28,15 +28,7 @@ Gates (the acceptance criteria of the service PRs):
   serial throughput — the warm workload is dominated by numpy reductions
   over the large rung matrices, which release the GIL.  With fewer cores
   the sweep is recorded without the speed gate — threads cannot beat
-  serial on one core;
-* a second sweep runs the same workload through ``executor="process"``
-  (worker processes over the shared-memory data plane) at 1 / 2 / 4
-  workers, recorded as the ``process_concurrency`` block; on >= 4-cpu
-  runners 4 process workers must reach
-  ``REPRO_SERVICE_PROCESS_MIN_SPEEDUP`` (default 2.5) x serial — the GIL
-  is out of the picture entirely, so the bar is higher than the thread
-  gate.  Pools are warmed before the timed region (spawn cost is not
-  serving cost); 1-cpu machines record the sweep without the speed gate.
+  serial on one core.
 
 A ``dtype`` block additionally races float32 against float64 on a
 single-rung, bandwidth-bound configuration (one large gmm rung whose
@@ -44,15 +36,14 @@ matrix oversizes a 1 MiB budget, so every query recomputes it):
 
 * float32 rung-matrix residency must be <= 0.55x float64 under identical
   (unbudgeted) settings — asserted from the matrix cache's byte
-  accounting, the shared-memory segment accounting and tracemalloc's
-  retained bytes, unconditionally;
+  accounting and tracemalloc's retained bytes, unconditionally;
 * on >= 4-cpu runners, float32 warm queries/sec must reach
   ``REPRO_DTYPE_MIN_SPEEDUP`` (default 1.3) x float64;
 * both dtypes' answers are float64-shadow-verified during the measured
   pass (``REPRO_VERIFY_DTYPE`` path): zero mismatches, unconditionally.
 
-Machine-readable results (including the ``concurrency``,
-``process_concurrency`` and ``dtype`` blocks) land in
+Machine-readable results (including the ``concurrency`` and ``dtype``
+blocks) land in
 ``benchmarks/results/BENCH_service_throughput.json`` for the CI artifact.
 Dataset size via ``REPRO_SERVICE_N`` (default 100,000 — the CI smoke size;
 the rebuild baseline scales with ``n`` while the warm path does not, so
@@ -72,7 +63,6 @@ from service_harness import (
     measure_concurrent_throughput,
     measure_service_throughput,
 )
-from repro.service.matrices import SharedMatrixCache
 from repro.service.workload import make_workload
 
 K_MAX = 8
@@ -151,19 +141,9 @@ def _measure_dtype():
             traced_current, traced_peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             local = resident.stats()["matrices"]["local"]
-        # The shared-memory half: lease one epoch segment per dtype and
-        # read back the segment accounting the process plane would use.
-        shared = SharedMatrixCache(0)
-        try:
-            lease = shared.lease((0,) + rung.key, rung_points, dtype=label)
-            shared_bytes = shared.nbytes
-            shared.release(lease)
-        finally:
-            shared.close()
         blocks[label] = {
             "qps": len(workload) / max(seconds, 1e-9),
             "resident_bytes": local["resident_bytes"],
-            "shared_segment_bytes": shared_bytes,
             "tracemalloc_retained_bytes": traced_current,
             "tracemalloc_peak_bytes": traced_peak,
             "verify": verify,
@@ -176,8 +156,6 @@ def _measure_dtype():
         "speedup": blocks["float32"]["qps"] / blocks["float64"]["qps"],
         "residency_ratio": (blocks["float32"]["resident_bytes"]
                             / max(blocks["float64"]["resident_bytes"], 1)),
-        "shared_ratio": (blocks["float32"]["shared_segment_bytes"]
-                         / max(blocks["float64"]["shared_segment_bytes"], 1)),
     }
 
 
@@ -203,19 +181,13 @@ def _measure():
         worker_counts=WORKER_COUNTS, seed=0, index=index,
         matrix_budget_mb=0,
     )
-    process_concurrency = measure_concurrent_throughput(
-        points, K_MAX, num_queries=NUM_QUERIES,
-        worker_counts=WORKER_COUNTS, seed=0, index=index,
-        matrix_budget_mb=0, executor="process",
-    )
     dtype_block = _measure_dtype()
-    return (n, index_build_seconds, report, concurrency,
-            process_concurrency, dtype_block)
+    return n, index_build_seconds, report, concurrency, dtype_block
 
 
 def test_service_throughput(benchmark):
     (n, index_build_seconds, report, concurrency,
-     process_concurrency, dtype_block) = run_once(benchmark, _measure)
+     dtype_block) = run_once(benchmark, _measure)
     emit("service_throughput", format_table(
         ["serving mode", "queries/s", "speedup"],
         [["rebuild-per-query", f"{report.rebuild_qps:.1f}", "1.0x"],
@@ -227,10 +199,6 @@ def test_service_throughput(benchmark):
          *[[f"query_concurrent x{workers} threads", f"{qps:.1f}",
             f"{concurrency.speedup(workers):.2f}x vs serial"]
            for workers, qps in sorted(concurrency.qps_by_workers.items())],
-         *[[f"query_concurrent x{workers} processes", f"{qps:.1f}",
-            f"{process_concurrency.speedup(workers):.2f}x vs serial"]
-           for workers, qps in sorted(
-               process_concurrency.qps_by_workers.items())],
          ["recompute-bound float64", f"{dtype_block['float64']['qps']:.1f}",
           "1.0x"],
          ["recompute-bound float32", f"{dtype_block['float32']['qps']:.1f}",
@@ -244,7 +212,6 @@ def test_service_throughput(benchmark):
         "k_max": K_MAX,
         "cpu_count": _available_cpus(),
         "concurrency": concurrency.as_dict(),
-        "process_concurrency": process_concurrency.as_dict(),
         "dtype": dtype_block,
         **report.as_dict(),
     }
@@ -274,42 +241,23 @@ def test_service_throughput(benchmark):
             f"query_concurrent x{GATED_WORKERS} only {speedup:.2f}x over "
             f"serial query_batch (gate: {min_speedup:.2f}x on "
             f"{_available_cpus()} schedulable cpus)")
-    # Gate 6: the process sweep shares the correctness invariants
-    # unconditionally (bit-identical answers, zero builds, exactly-once
-    # matrix fills across processes — asserted by the harness), and on
-    # multi-core runners 4 GIL-free workers must beat the thread gate.
-    assert process_concurrency.build_calls_during_queries == 0
-    assert (process_concurrency.matrix_computes
-            == process_concurrency.distinct_rungs)
-    process_min = float(os.environ.get(
-        "REPRO_SERVICE_PROCESS_MIN_SPEEDUP", "2.5"))
-    process_speedup = process_concurrency.speedup(GATED_WORKERS)
-    if _available_cpus() >= GATED_WORKERS:
-        assert process_speedup >= process_min, (
-            f"query_concurrent x{GATED_WORKERS} processes only "
-            f"{process_speedup:.2f}x over serial query_batch "
-            f"(gate: {process_min:.2f}x on {_available_cpus()} "
-            f"schedulable cpus)")
-    # Gate 7 (acceptance): float32 halves resident matrix bytes — local
-    # cache accounting, shared-memory segment accounting and tracemalloc
-    # peak all agree, on any machine.
+    # Gate 6 (acceptance): float32 halves resident matrix bytes — local
+    # cache accounting and tracemalloc's retained bytes agree, on any
+    # machine.
     assert dtype_block["residency_ratio"] <= 0.55, (
         f"float32 rung-matrix residency {dtype_block['residency_ratio']:.3f}x "
-        "float64 (gate: <= 0.55x)")
-    assert dtype_block["shared_ratio"] <= 0.55, (
-        f"float32 shared-segment bytes {dtype_block['shared_ratio']:.3f}x "
         "float64 (gate: <= 0.55x)")
     assert (dtype_block["float32"]["tracemalloc_retained_bytes"]
             <= 0.55 * dtype_block["float64"]["tracemalloc_retained_bytes"]), (
         "float32 tracemalloc retained bytes after the rung-matrix compute "
         "exceed 0.55x the float64 retained bytes")
-    # Gate 8: the float32 pass ran with the float64 shadow verify on —
+    # Gate 7: the float32 pass ran with the float64 shadow verify on —
     # sampled solves must agree (values within rtol, selections identical
     # or tie-explained), unconditionally.
     assert dtype_block["float32"]["verify"]["checks"] > 0
     assert dtype_block["float32"]["verify"]["value_mismatches"] == 0
     assert dtype_block["float32"]["verify"]["index_mismatches"] == 0
-    # Gate 9 (acceptance, multi-core only): the bandwidth-bound rung must
+    # Gate 8 (acceptance, multi-core only): the bandwidth-bound rung must
     # convert the halved itemsize into throughput.
     dtype_min = float(os.environ.get("REPRO_DTYPE_MIN_SPEEDUP", "1.3"))
     if _available_cpus() >= GATED_WORKERS:

@@ -174,15 +174,14 @@ class ConcurrencyReport:
     """Serial vs concurrent queries/sec over one warm workload.
 
     ``qps_by_workers`` maps each measured worker count to its
-    ``query_concurrent`` throughput on the measured *executor* backend
-    (``"thread"`` or ``"process"``); ``serial_qps`` is the
-    ``query_batch`` baseline on an identically cold service.  The
+    ``query_concurrent`` throughput on the thread backend; ``serial_qps``
+    is the ``query_batch`` baseline on an identically cold service.  The
     invariants checked during measurement ride along:
     ``build_calls_during_queries`` (must be 0 — queries never rebuild)
     and ``matrix_computes`` vs ``distinct_rungs`` (each rung's matrix is
-    computed exactly once under contention when unbudgeted — across
-    processes, in process mode).  ``serial_latency`` is the per-query
-    wall-latency percentile block of the serial baseline;
+    computed exactly once under contention when unbudgeted).
+    ``serial_latency`` is the per-query wall-latency percentile block of
+    the serial baseline;
     ``solve_latency_by_workers`` holds per-worker-count percentile
     blocks over ``QueryResult.solve_seconds`` (solver time only —
     client-observed latency is not well-defined inside one
@@ -196,7 +195,6 @@ class ConcurrencyReport:
     distinct_rungs: int
     matrix_computes: int
     matrices: dict
-    executor: str = "thread"
     serial_latency: dict = field(default_factory=dict)
     solve_latency_by_workers: dict[int, dict] = field(default_factory=dict)
 
@@ -208,7 +206,6 @@ class ConcurrencyReport:
         """JSON-ready form (the ``concurrency`` block of the benchmark)."""
         return {
             "num_queries": self.num_queries,
-            "executor": self.executor,
             "serial_qps": self.serial_qps,
             "serial_latency": self.serial_latency,
             "workers": {
@@ -235,7 +232,6 @@ def measure_concurrent_throughput(
     seed: int | None = 0,
     matrix_budget_mb: int | None = None,
     index=None,
-    executor: str = "thread",
     **build_options,
 ) -> ConcurrencyReport:
     """Measure ``query_concurrent`` against serial ``query_batch``.
@@ -244,16 +240,12 @@ def measure_concurrent_throughput(
     served by a fresh, matrix-cold :class:`DiversityService` per mode:
     once serially through :meth:`~DiversityService.query_batch`, and once
     per entry of *worker_counts* through
-    :meth:`~DiversityService.query_concurrent` on the requested
-    *executor* backend (``"thread"`` or ``"process"``).  Every concurrent
-    run is checked against the serial answers (identical values and rungs
-    — the determinism contract), every service must report zero build
-    calls, and the widest run must have computed each touched rung's
-    matrix exactly once (single-flight; only asserted when unbudgeted —
-    for process runs that is the cross-process invariant over the shared
-    segments).  Process pools are warmed before the timed region so
-    measured queries/sec exclude worker spawn, and every measured
-    service is closed afterwards (no leaked segments).
+    :meth:`~DiversityService.query_concurrent` on threads.  Every
+    concurrent run is checked against the serial answers (identical
+    values and rungs — the determinism contract), every service must
+    report zero build calls, and the widest run must have computed each
+    touched rung's matrix exactly once (single-flight; only asserted
+    when unbudgeted).
 
     Raises
     ------
@@ -285,42 +277,30 @@ def measure_concurrent_throughput(
     solve_latency_by_workers: dict[int, dict] = {}
     build_calls = serial_service.build_calls
     widest_service = serial_service
-    try:
-        for workers in sorted(worker_counts):
-            service = _fresh_service()
-            service.warm_executor(executor, max_workers=workers)
-            started = time.perf_counter()
-            results = service.query_concurrent(workload, max_workers=workers,
-                                               executor=executor)
-            seconds = time.perf_counter() - started
-            # Hand the just-measured service to the cleanup slot *before*
-            # asserting, so a failed invariant cannot leak its worker
-            # pool or shared segments.
-            if widest_service is not serial_service:
-                widest_service.close()
-            widest_service = service
-            assert [(result.value, result.rung) for result in results] == expected, \
-                "concurrent answers must be identical to the serial baseline"
-            stats = service.cache.stats
-            assert stats.hits + stats.misses == len(workload), \
-                "every query must count exactly one cache hit or miss"
-            build_calls = max(build_calls, service.build_calls)
-            qps_by_workers[workers] = len(workload) / max(seconds, 1e-9)
-            solve_latency_by_workers[workers] = latency_summary(
-                [result.solve_seconds for result in results])
+    for workers in sorted(worker_counts):
+        service = _fresh_service()
+        started = time.perf_counter()
+        results = service.query_concurrent(workload, max_workers=workers)
+        seconds = time.perf_counter() - started
+        widest_service = service
+        assert [(result.value, result.rung) for result in results] == expected, \
+            "concurrent answers must be identical to the serial baseline"
+        stats = service.cache.stats
+        assert stats.hits + stats.misses == len(workload), \
+            "every query must count exactly one cache hit or miss"
+        build_calls = max(build_calls, service.build_calls)
+        qps_by_workers[workers] = len(workload) / max(seconds, 1e-9)
+        solve_latency_by_workers[workers] = latency_summary(
+            [result.solve_seconds for result in results])
 
-        assert build_calls == 0, "queries must never rebuild a core-set"
-        distinct_rungs = len({index.route(q.objective, q.k, q.epsilon).key
-                              for q in workload})
-        stats_block = "shared" if executor == "process" else "local"
-        matrices = widest_service.stats()["matrices"][stats_block]
-        if matrices["budget_bytes"] is None:
-            assert matrices["computes"] == distinct_rungs, (
-                f"expected exactly one matrix compute per rung "
-                f"({distinct_rungs}), saw {matrices['computes']}")
-    finally:
-        if widest_service is not serial_service:
-            widest_service.close()
+    assert build_calls == 0, "queries must never rebuild a core-set"
+    distinct_rungs = len({index.route(q.objective, q.k, q.epsilon).key
+                          for q in workload})
+    matrices = widest_service.stats()["matrices"]["local"]
+    if matrices["budget_bytes"] is None:
+        assert matrices["computes"] == distinct_rungs, (
+            f"expected exactly one matrix compute per rung "
+            f"({distinct_rungs}), saw {matrices['computes']}")
     return ConcurrencyReport(
         num_queries=len(workload),
         serial_qps=len(workload) / max(serial_seconds, 1e-9),
@@ -329,7 +309,6 @@ def measure_concurrent_throughput(
         distinct_rungs=distinct_rungs,
         matrix_computes=matrices["computes"],
         matrices=matrices,
-        executor=executor,
         serial_latency=latency_summary(serial_latencies),
         solve_latency_by_workers=solve_latency_by_workers,
     )

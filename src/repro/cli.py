@@ -70,6 +70,7 @@ from repro.streaming.algorithm import (
     TwoPassStreamingDiversityMaximizer,
 )
 from repro.service import (
+    EXECUTOR_NAMES,
     DiversityService,
     build_coreset_index,
     load_index,
@@ -304,11 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     dmn.add_argument("--drain-timeout-s", type=float, default=30.0,
                      help="longest a SIGTERM drain waits for in-flight "
                           "work before giving up on dead peers")
-    dmn.add_argument("--executor", choices=("serial", "thread", "process"),
+    dmn.add_argument("--executor", choices=EXECUTOR_NAMES,
                      default="serial",
-                     help="service execution backend for dispatched "
-                          "batches (answers are bit-identical across "
-                          "backends)")
+                     help="query backend for dispatched batches: "
+                          "'serial' solves in the dispatch thread, "
+                          "'thread' one query per pool thread (answers "
+                          "are bit-identical)")
     dmn.add_argument("--matrix-budget-mb", type=int, default=None,
                      help="matrix-cache budget (MiB) for the served "
                           "index; default: $REPRO_MATRIX_BUDGET_MB, "

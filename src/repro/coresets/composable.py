@@ -11,6 +11,7 @@ composability definition (Definition 2).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Literal
 
 import numpy as np
@@ -48,6 +49,9 @@ def coreset_size_for(k: int, epsilon: float, doubling_dimension: float,
     objective needs injective proxies.  This grows quickly with ``D``; the
     paper's experiments (and ours) show small constant multiples of ``k``
     already give excellent ratios, so treat this as an upper bound.
+    Sizes beyond :data:`sys.maxsize` are clamped to it, including those
+    a float cannot hold (a tiny ``eps``, down to the subnormals), so the
+    size never shrinks as ``eps`` does.
     """
     objective = get_objective(objective)
     check_positive_int(k, "k")
@@ -60,7 +64,11 @@ def coreset_size_for(k: int, epsilon: float, doubling_dimension: float,
         constant = objective.streaming_constant
     else:
         raise ValueError(f"model must be 'mapreduce' or 'streaming', got {model!r}")
-    return int(math.ceil((constant / eps_prime) ** doubling_dimension * k))
+    try:
+        size = math.ceil((constant / eps_prime) ** doubling_dimension * k)
+    except (OverflowError, ZeroDivisionError):  # eps' underflows to 0
+        return sys.maxsize
+    return min(size, sys.maxsize)
 
 
 def practical_coreset_size(k: int, epsilon: float, doubling_dimension: float,

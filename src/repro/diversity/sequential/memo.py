@@ -22,7 +22,7 @@ still valid.  One memo serves exactly one matrix.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,26 +37,18 @@ class SolverMemo:
         runs to ``min(k_cap, n)`` points, so later queries up to the cap
         only slice.  A larger ``k`` recomputes to that size (the held
         prefix stays valid).
-    pairs, order:
-        Prefixes already known for this matrix, e.g. shipped from
-        another process.
 
     Fills are single-flight: concurrent solvers needing the same prefix
     wait for the first one's fill and then slice it.
     """
 
-    def __init__(self, k_cap: int, *,
-                 pairs: Sequence[tuple[int, int]] = (),
-                 order: Sequence[int] = ()):
+    def __init__(self, k_cap: int):
         self.k_cap = k_cap
-        # Re-entrant: a fill merges its result under the lock it holds.
-        self._locks = {"pairs": threading.RLock(),
-                       "order": threading.RLock()}
+        self._locks = {"pairs": threading.Lock(), "order": threading.Lock()}
         #: The greedy matching's first pairs, in pick order.
         self.pairs: tuple[tuple[int, int], ...] = ()
         #: The farthest-point order's first indices, heaviest row first.
         self.order: tuple[int, ...] = ()
-        self.merge(pairs, order)
 
     def matching_for(self, k: int, n: int, fill: Callable[[int], list],
                      ) -> tuple[tuple[int, int], ...]:
@@ -64,7 +56,9 @@ class SolverMemo:
 
         ``fill(p)`` must return the greedy matching's first ``p`` pairs.
         """
-        return self._take("pairs", k // 2, self._span(k, n) // 2, fill)
+        return self._take(
+            "pairs", k // 2, self._span(k, n) // 2,
+            lambda p: tuple((int(a), int(b)) for a, b in fill(p)))
 
     def order_for(self, k: int, n: int,
                   fill: Callable[[int], np.ndarray]) -> np.ndarray:
@@ -72,38 +66,30 @@ class SolverMemo:
 
         ``fill(m)`` must return the order's first ``m`` indices.
         """
-        return np.asarray(self._take("order", k, self._span(k, n), fill),
-                          dtype=np.intp)
-
-    def merge(self, pairs: Sequence[tuple[int, int]] = (),
-              order: Sequence[int] = ()) -> None:
-        """Keep the longer of each held and given prefix.
-
-        Both are prefixes of the same greedy run on this memo's matrix,
-        so the longer one contains the shorter.
-        """
-        if len(pairs):
-            self._keep("pairs", tuple((int(a), int(b)) for a, b in pairs))
-        if len(order):
-            self._keep("order", tuple(int(i) for i in order))
+        return np.asarray(
+            self._take("order", k, self._span(k, n),
+                       lambda m: tuple(int(i) for i in fill(m))),
+            dtype=np.intp)
 
     def _span(self, k: int, n: int) -> int:
         """Points a fill for *k* covers: the cap (within *n*), or *k*."""
         return max(k, min(self.k_cap, n))
 
     def _take(self, slot: str, count: int, total: int,
-              fill: Callable[[int], Sequence]) -> tuple:
-        """The first *count* items of *slot*, filling to *total* if short."""
+              fill: Callable[[int], tuple]) -> tuple:
+        """The first *count* items of *slot*, filling to *total* if short.
+
+        A fill keeps the longer of the held and the new prefix: both come
+        from the same greedy run on this memo's matrix, so the longer one
+        contains the shorter.
+        """
         held = getattr(self, slot)
         if len(held) < count:
             with self._locks[slot]:
                 held = getattr(self, slot)
                 if len(held) < count:
-                    self.merge(**{slot: fill(total)})
-                    held = getattr(self, slot)
+                    given = fill(total)
+                    if len(given) > len(held):
+                        setattr(self, slot, given)
+                        held = given
         return held[:count]
-
-    def _keep(self, slot: str, given: tuple) -> None:
-        with self._locks[slot]:
-            if len(given) > len(getattr(self, slot)):
-                setattr(self, slot, given)

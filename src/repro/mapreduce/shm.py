@@ -22,7 +22,7 @@ Lifecycle: ``SharedDataset`` is a context manager; the driver unlinks the
 segment when the job is done (on Linux, workers holding attachments keep
 the mapping alive until they drop it).  A ``weakref.finalize`` backstop
 unlinks on garbage collection so crashed drivers do not leak ``/dev/shm``
-segments.  Worker attachments keep the historical cache limit of one
+segments.  Worker attachments keep a cache limit of one
 segment — jobs touch exactly one dataset-sized block at a time, and a
 stale unlinked segment kept mapped is a dataset's worth of RAM pinned.
 """

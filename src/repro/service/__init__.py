@@ -14,14 +14,6 @@ for the layer diagram.
 """
 
 from repro.service.cache import CacheStats, LRUCache, StripedLRUCache
-from repro.service.executors import (
-    EXECUTOR_NAMES,
-    ExecutorPool,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    create_executor,
-)
 from repro.service.index import (
     FAMILIES,
     CoresetIndex,
@@ -31,9 +23,7 @@ from repro.service.index import (
 )
 from repro.service.matrices import (
     MatrixCache,
-    MatrixLease,
     MatrixStats,
-    SharedMatrixCache,
     matrix_budget_from_env,
 )
 from repro.service.persist import INDEX_FORMAT_VERSION, load_index, save_index
@@ -59,6 +49,7 @@ from repro.service.registry import (
 )
 from repro.service.server import DiversityServer, ServerConfig, ServerStats
 from repro.service.service import (
+    EXECUTOR_NAMES,
     SCHEMA_VERSION,
     DiversityService,
     Query,
@@ -71,20 +62,13 @@ __all__ = [
     "LRUCache",
     "StripedLRUCache",
     "EXECUTOR_NAMES",
-    "ExecutorPool",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "create_executor",
     "FAMILIES",
     "CoresetIndex",
     "LadderRung",
     "build_coreset_index",
     "family_of",
     "MatrixCache",
-    "MatrixLease",
     "MatrixStats",
-    "SharedMatrixCache",
     "matrix_budget_from_env",
     "INDEX_FORMAT_VERSION",
     "load_index",

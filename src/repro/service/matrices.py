@@ -39,7 +39,6 @@ from typing import Callable, Hashable
 
 import numpy as np
 
-from repro import shm
 from repro.utils.validation import check_positive_int
 
 #: Environment variable holding the default matrix budget in MiB.
@@ -332,304 +331,5 @@ class MatrixCache:
                 "cached": len(self._entries),
                 "resident_bytes": self._bytes,
                 "budget_bytes": self._budget,
-            })
-            return payload
-
-
-@dataclass
-class _SharedSlot:
-    """Bookkeeping for one shared-memory matrix segment.
-
-    ``pins`` counts in-flight leases; an evicted or oversize slot is
-    unlinked only once the last lease releases it, which is what makes a
-    driver-side eviction safe against workers still attaching by the
-    slot's descriptor (use-after-unlink prevention).
-    """
-
-    key: Hashable
-    owner: "shm.SharedNDArray"
-    pins: int = 0
-    resident: bool = False
-    defunct: bool = False
-    is_recompute: bool = False
-
-
-@dataclass(frozen=True)
-class MatrixLease:
-    """A pinned handle on one shared matrix segment.
-
-    Holders dispatch ``ref`` to worker processes and must hand the lease
-    back via :meth:`SharedMatrixCache.release` when the batch completes —
-    the pin keeps the segment linked for the duration.
-    """
-
-    key: Hashable
-    ref: "shm.SharedArrayRef"
-    slot: _SharedSlot
-
-
-class SharedMatrixCache:
-    """Budgeted cache of rung matrices living in shared-memory segments.
-
-    The process-executor counterpart of :class:`MatrixCache`: instead of
-    arrays in driver memory, entries are named POSIX shared-memory
-    segments (:class:`repro.shm.SharedNDArray`, with a single-flight
-    ready flag) that worker processes attach to by descriptor.  The byte
-    budget governs the segments themselves — an eviction **unlinks** the
-    segment, and a later lease of the same key allocates a fresh one
-    (whose recompute registers in :attr:`MatrixStats.recomputes`, the
-    budget-pressure signal).
-
-    Lifecycle guarantees:
-
-    * **pin before dispatch** — :meth:`lease` pins the segment; eviction
-      skips pinned entries and an oversize or superseded segment is
-      unlinked only when its last pin releases, so a descriptor already
-      shipped to a worker always resolves;
-    * **oversize never resident** — a matrix larger than the whole budget
-      gets a segment for the duration of the leases sharing it and is
-      unlinked on the last release;
-    * **close unlinks everything** — :meth:`close` (idempotent, with the
-      owning segments' GC finalizers as backstop) leaves zero segments
-      behind, the invariant the leak tests assert.
-
-    The segments are published *empty* (ready flag unset): the first
-    worker to take the matrix's stripe lock computes and publishes the
-    payload (:func:`repro.shm.fill_once`), so compute work stays off the
-    driver.  Workers report who computed; the driver folds that into
-    :attr:`stats` via :meth:`note_computed`.
-
-    Thread safety: fully safe; one registry lock guards entries, pins,
-    byte accounting and stats.
-    """
-
-    def __init__(self, budget_bytes: int | None = None):
-        self._budget = _resolve_budget(budget_bytes)
-        self._entries: "OrderedDict[Hashable, _SharedSlot]" = OrderedDict()
-        self._oversize: dict[Hashable, _SharedSlot] = {}
-        #: Purged while pinned: no longer servable (their key namespace is
-        #: dead) but kept linked until the in-flight batch holding the
-        #: pin releases; close() unlinks them as backstop.
-        self._doomed: list[_SharedSlot] = []
-        self._bytes = 0
-        self._ever_cached: set[Hashable] = set()
-        self._lock = threading.Lock()
-        self._closed = False
-        self._dtype: str | None = None
-        self.stats = MatrixStats()
-
-    @property
-    def budget_bytes(self) -> int | None:
-        """The byte budget, or ``None`` when unbudgeted."""
-        return self._budget
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of segments currently resident (excludes oversize)."""
-        with self._lock:
-            return self._bytes
-
-    def __len__(self) -> int:
-        """Number of matrix segments currently resident."""
-        with self._lock:
-            return len(self._entries)
-
-    def lease(self, key: Hashable, n_points: int,
-              dtype: str | np.dtype = np.float64, *,
-              transient: bool = False) -> MatrixLease:
-        """Pin (allocating if needed) the segment for *key*'s matrix.
-
-        A hit pins and returns the existing segment; a miss allocates a
-        zero-filled flagged segment for an ``(n_points, n_points)``
-        matrix of *dtype* (sized by the actual itemsize — float32
-        segments cost half the budget of float64), charges the budget
-        and evicts unpinned LRU entries that no longer fit.  The caller
-        must :meth:`release` the lease when its dispatch completes.
-
-        *transient* leases never become resident: a freshly allocated
-        segment takes the oversize path (shared by concurrent leases of
-        the same key, unlinked on the last release) regardless of size.
-        Stale-epoch straggler batches use this so a superseded key can
-        never re-enter the resident set.
-        """
-        n_points = check_positive_int(n_points, "n_points")
-        dtype = np.dtype(dtype)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("SharedMatrixCache is closed")
-            slot = self._entries.get(key)
-            if slot is None:
-                slot = self._oversize.get(key)
-            if slot is not None:
-                self.stats.hits += 1
-                if slot.resident:
-                    self._entries.move_to_end(key)
-                slot.pins += 1
-                return MatrixLease(key=key, ref=slot.owner.ref, slot=slot)
-            self.stats.misses += 1
-            owner = shm.SharedNDArray((n_points, n_points), dtype,
-                                      flagged=True)
-            self._dtype = str(dtype)
-            slot = _SharedSlot(key=key, owner=owner, pins=1,
-                               is_recompute=key in self._ever_cached)
-            self._ever_cached.add(key)
-            if transient or (self._budget is not None
-                             and owner.nbytes > self._budget):
-                # Oversized for the whole budget (or a stale-epoch
-                # straggler): shared by concurrent leases, unlinked when
-                # the last one releases — the segment is never retained
-                # across batches.
-                self._oversize[key] = slot
-            else:
-                slot.resident = True
-                self._entries[key] = slot
-                self._bytes += owner.nbytes
-                self._shrink()
-            return MatrixLease(key=key, ref=owner.ref, slot=slot)
-
-    def release(self, lease: MatrixLease) -> None:
-        """Unpin a lease; unlink segments whose last holder just left."""
-        with self._lock:
-            slot = lease.slot
-            slot.pins = max(slot.pins - 1, 0)
-            if slot.pins == 0:
-                if not slot.resident:
-                    # Oversize, purged or superseded: this was the last
-                    # holder.  Identity-guard the table pops — a fresh
-                    # slot may have taken this key after a purge.
-                    if self._oversize.get(slot.key) is slot:
-                        del self._oversize[slot.key]
-                    if slot in self._doomed:
-                        self._doomed.remove(slot)
-                    slot.defunct = True
-                    slot.owner.close()
-                else:
-                    self._shrink()
-
-    def purge(self, dataset_id: str, *,
-              before_epoch: int | None = None) -> int:
-        """Unlink one dataset namespace's segments; returns the count.
-
-        The shared-plane counterpart of :meth:`MatrixCache.purge` for
-        keys opening with ``(dataset_id, epoch, ...)``: a tenant refresh
-        purges its superseded epochs (*before_epoch*), an eviction or
-        detach purges the whole namespace.  Pin-safe — a purged segment
-        still pinned by an in-flight batch stays linked (and attachable
-        by its shipped descriptor) until the last pin releases; it can
-        no longer be leased by key.
-        """
-        def doomed(key: Hashable) -> bool:
-            if not (isinstance(key, tuple) and len(key) >= 2
-                    and key[0] == dataset_id):
-                return False
-            return before_epoch is None or key[1] < before_epoch
-
-        with self._lock:
-            count = 0
-            for key in [key for key in self._entries if doomed(key)]:
-                slot = self._entries.pop(key)
-                slot.resident = False
-                self._bytes -= slot.owner.nbytes
-                count += 1
-                if slot.pins == 0:
-                    slot.defunct = True
-                    slot.owner.close()
-                else:
-                    self._doomed.append(slot)
-            for key in [key for key in self._oversize if doomed(key)]:
-                slot = self._oversize.pop(key)
-                count += 1
-                if slot.pins == 0:
-                    slot.defunct = True
-                    slot.owner.close()
-                else:
-                    self._doomed.append(slot)
-            self._ever_cached -= {key for key in self._ever_cached
-                                  if doomed(key)}
-            return count
-
-    def note_computed(self, key: Hashable) -> None:
-        """Fold a worker's "I filled this segment" report into the stats."""
-        with self._lock:
-            self.stats.computes += 1
-            slot = self._entries.get(key) or self._oversize.get(key)
-            if slot is not None and slot.is_recompute:
-                self.stats.recomputes += 1
-
-    def _shrink(self) -> None:
-        # Caller holds self._lock.  Evict unpinned LRU entries until the
-        # budget holds; pinned entries are skipped (their batch is still
-        # dispatching against the descriptor), so residency may overshoot
-        # transiently and is re-shrunk as pins release.
-        if self._budget is None:
-            return
-        while self._bytes > self._budget and len(self._entries) > 1:
-            victim_key = next((key for key, slot in self._entries.items()
-                               if slot.pins == 0), None)
-            if victim_key is None:
-                return
-            victim = self._entries.pop(victim_key)
-            victim.resident = False
-            victim.defunct = True
-            self._bytes -= victim.owner.nbytes
-            self.stats.evictions += 1
-            victim.owner.close()
-
-    def successor(self) -> "SharedMatrixCache":
-        """A fresh cache for a new epoch, inheriting budget and stats.
-
-        The refresh counterpart of :meth:`MatrixCache.successor`: the new
-        epoch's plane gets empty storage while batches in flight keep
-        their pins on the old object, which is retired (and its segments
-        unlinked) once they drain.
-        """
-        with self._lock:
-            fresh = SharedMatrixCache(0 if self._budget is None
-                                      else self._budget)
-            fresh.stats = replace(self.stats)
-            fresh._dtype = self._dtype
-            return fresh
-
-    def close(self) -> None:
-        """Unlink every segment — resident, oversize or pinned (idempotent).
-
-        Service shutdown semantics: after this returns, zero segments
-        published by this cache remain in ``/dev/shm``.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for slot in list(self._entries.values()):
-                slot.resident = False
-                slot.defunct = True
-                slot.owner.close()
-            for slot in list(self._oversize.values()) + self._doomed:
-                slot.defunct = True
-                slot.owner.close()
-            self._entries.clear()
-            self._oversize.clear()
-            self._doomed.clear()
-            self._bytes = 0
-
-    def segment_names(self) -> list[str]:
-        """Names of every segment this cache currently keeps linked."""
-        with self._lock:
-            return ([slot.owner.ref.name for slot in self._entries.values()]
-                    + [slot.owner.ref.name
-                       for slot in self._oversize.values()]
-                    + [slot.owner.ref.name for slot in self._doomed])
-
-    def describe(self) -> dict:
-        """JSON-ready snapshot: stats plus dtype, residency, pins, budget."""
-        with self._lock:
-            payload = self.stats.as_dict()
-            payload.update({
-                "dtype": self._dtype,
-                "cached": len(self._entries),
-                "resident_bytes": self._bytes,
-                "budget_bytes": self._budget,
-                "pinned": sum(1 for slot in self._entries.values()
-                              if slot.pins > 0) + len(self._oversize),
             })
             return payload

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -102,32 +103,48 @@ def load_index(path: str | Path,
     float32; files written before the dtype field load as float64).
     Pass *dtype* to cast on load — e.g. ``dtype="float32"`` serves a
     float64 index on the fast path without re-building it.
+
+    A file that cannot be read back — a truncated ``.npz``, a ``.json``
+    that is not an index sidecar — raises
+    :class:`~repro.exceptions.ValidationError` naming that file.
     """
     npz_path, json_path = _paths(path)
     if not npz_path.exists() or not json_path.exists():
         raise ValidationError(
             f"no saved index at {Path(path)} "
             f"(need both {npz_path.name} and {json_path.name})")
-    metadata = json.loads(json_path.read_text())
+    try:
+        metadata = json.loads(json_path.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ValidationError(
+            f"corrupt index file {json_path}: {exc}") from exc
+    if not isinstance(metadata, dict):
+        raise ValidationError(
+            f"corrupt index file {json_path}: not a JSON object")
     version = metadata.get("format_version")
     if version not in READABLE_FORMAT_VERSIONS:
         raise ValidationError(
             f"unsupported index format version {version!r} "
             f"(this build reads versions {READABLE_FORMAT_VERSIONS})")
+    try:
+        with np.load(npz_path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationError(
+            f"corrupt index file {npz_path}: {exc}") from exc
     metric = metadata["metric"]
     rungs: dict[str, list[LadderRung]] = {}
-    with np.load(npz_path) as arrays:
-        for record in metadata["rungs"]:
-            family = record["family"]
-            if family not in FAMILIES:
-                raise ValidationError(f"unknown family {family!r} in {json_path}")
-            rungs.setdefault(family, []).append(LadderRung(
-                family=family,
-                k_cap=int(record["k_cap"]),
-                k_prime=int(record["k_prime"]),
-                coreset=PointSet(arrays[record["array"]], metric=metric),
-                build_seconds=float(record.get("build_seconds", 0.0)),
-            ))
+    for record in metadata["rungs"]:
+        family = record["family"]
+        if family not in FAMILIES:
+            raise ValidationError(f"unknown family {family!r} in {json_path}")
+        rungs.setdefault(family, []).append(LadderRung(
+            family=family,
+            k_cap=int(record["k_cap"]),
+            k_prime=int(record["k_prime"]),
+            coreset=PointSet(arrays[record["array"]], metric=metric),
+            build_seconds=float(record.get("build_seconds", 0.0)),
+        ))
     for family_rungs in rungs.values():
         family_rungs.sort(key=lambda rung: (rung.k_cap, rung.k_prime))
     extra = metadata.get("extra")

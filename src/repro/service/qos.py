@@ -1,6 +1,6 @@
 """Tenant-aware admission control: per-tenant queues under WDRR dispatch.
 
-The registry (PR 8) shares one worker fleet and one matrix plane across
+The registry (PR 8) shares one query slot and one matrix cache across
 tenants, but the daemon's admission control was still a single bounded
 queue — a zipf-hot tenant could fill it and starve every cold tenant.
 This module is the scheduling layer that closes that gap:

@@ -1,9 +1,9 @@
-"""Multi-tenant index registry: many datasets, one plane, tiered tenants.
+"""Multi-tenant index registry: many datasets, one budget, tiered tenants.
 
 The paper's composability theorem (Definition 2) lets core-sets built
 independently be merged at query time; applied one level up, it means
 many *datasets* can be sharded across builders and served from one
-process fleet.  :class:`IndexRegistry` is that layer above
+process.  :class:`IndexRegistry` is that layer above
 :class:`~repro.service.service.DiversityService`:
 
 * **Named tenants** — each ``dataset_id`` owns a persisted
@@ -12,17 +12,15 @@ process fleet.  :class:`IndexRegistry` is that layer above
   :meth:`IndexRegistry.register` / :meth:`~IndexRegistry.detach` manage
   the set; :meth:`~IndexRegistry.attach` pins a tenant's service for a
   scoped block of queries.
-* **One shared plane** — every tenant's service is wired to a single
-  registry-scope :class:`~repro.service.matrices.MatrixCache` and a
-  single :class:`~repro.service.executors.ExecutorPool` (hence one
-  process fleet and one
-  :class:`~repro.service.matrices.SharedMatrixCache`), so all tenants'
-  rung matrices compete under one global ``REPRO_MATRIX_BUDGET_MB``.
+* **One shared matrix cache** — every tenant's service is wired to a
+  single registry-scope :class:`~repro.service.matrices.MatrixCache`, so
+  all tenants' rung matrices compete under one global
+  ``REPRO_MATRIX_BUDGET_MB``.
   Cache keys open with ``(dataset_id, epoch, ...)`` — two tenants with
   identically-shaped rungs can never alias.
 * **Hot/cold tiering** — an LRU over tenants caps how many are resident
-  at once (*max_resident*).  A cold tenant's rung matrices, shared
-  segments and core-set arrays are dropped down to the ``.npz``
+  at once (*max_resident*).  A cold tenant's rung matrices and core-set
+  arrays are dropped down to the ``.npz``
   persistence layer (:mod:`repro.service.persist`) and faulted back on
   demand at the next query; persistence round-trips are exact, so
   post-fault answers are bit-identical to an always-hot replica.
@@ -55,7 +53,6 @@ from typing import Iterable, Iterator
 
 from repro.exceptions import ValidationError
 from repro.metricspace.points import PointSet
-from repro.service.executors import EXECUTOR_NAMES, ExecutorPool
 from repro.service.index import CoresetIndex, build_coreset_index
 from repro.service.matrices import MatrixCache
 from repro.service.persist import load_index, save_index
@@ -65,6 +62,7 @@ from repro.service.service import (
     DiversityService,
     Query,
     QueryResult,
+    check_executor,
 )
 from repro.utils.validation import check_positive_int
 
@@ -145,7 +143,7 @@ class _Tenant:
 
 
 class IndexRegistry:
-    """Serve many named datasets from one fleet and one shared plane.
+    """Serve many named datasets under one shared matrix budget.
 
     Parameters
     ----------
@@ -160,14 +158,14 @@ class IndexRegistry:
         The **global** matrix budget all tenants compete under,
         following the :class:`~repro.service.matrices.MatrixCache`
         convention (``None`` reads ``REPRO_MATRIX_BUDGET_MB``, ``0``
-        forces unbudgeted).  Applied to both the shared in-process cache
-        and the pooled process executor's shared-memory segments.
+        forces unbudgeted), applied to the one matrix cache every
+        tenant's service shares.
     cache_size, cache_stripes:
         Per-tenant result-LRU shape (each tenant keeps its own result
         cache; matrices are the shared resource).
     executor, executor_workers:
-        Default execution backend and fan-out for every tenant, served
-        from one :class:`~repro.service.executors.ExecutorPool`.
+        Default execution backend (``"serial"`` or ``"thread"``) and
+        thread fan-out for every tenant's service.
     spill_dir:
         Directory where tenants registered from in-memory indexes are
         persisted on first eviction (and by :meth:`save_manifest`).
@@ -194,10 +192,7 @@ class IndexRegistry:
                  cache_size: int = 128, cache_stripes: int = 8,
                  executor: str = "serial", executor_workers: int = 4,
                  spill_dir: str | Path | None = None):
-        if executor not in EXECUTOR_NAMES:
-            raise ValidationError(
-                f"unknown executor {executor!r}; "
-                f"known: {', '.join(EXECUTOR_NAMES)}")
+        check_executor(executor)
         if max_resident is None:
             max_resident = _max_resident_from_env()
         self.max_resident = (None if max_resident is None
@@ -218,9 +213,6 @@ class IndexRegistry:
                                                    "executor_workers")
         #: The one in-process matrix cache every tenant's service shares.
         self._matrices = MatrixCache(budget_bytes)
-        #: The one backend pool (process fleet + shared segments) every
-        #: tenant's queries dispatch through.
-        self._pool = ExecutorPool(budget_bytes)
         self._tenants: dict[str, _Tenant] = {}
         #: LRU recency: dataset_ids, least recently used first.
         self._recency: list[str] = []
@@ -329,7 +321,7 @@ class IndexRegistry:
         self._maybe_evict()
 
     def detach(self, dataset_id: str) -> None:
-        """Remove a tenant: close its service, drop its shared namespaces.
+        """Remove a tenant: close its service, drop its matrix namespace.
 
         Persisted index files are left on disk — a detach is a serving
         decision, not a delete.  In-memory state that was never spilled
@@ -404,7 +396,7 @@ class IndexRegistry:
         :meth:`DiversityService.query_batch
         <repro.service.service.DiversityService.query_batch>` would —
         same grouping, caching and bit-identical answers — just with the
-        matrices and worker fleet shared across tenants.
+        matrix cache shared across tenants.
         """
         with self.attach(self._resolve(dataset_id)) as service:
             return service.query_batch(queries, executor=executor)
@@ -415,9 +407,9 @@ class IndexRegistry:
 
         Delegates to :meth:`DiversityService.refresh
         <repro.service.service.DiversityService.refresh>` under an
-        attach pin: the tenant's epoch bumps, its superseded cache
-        namespaces purge from the shared plane, and other tenants'
-        resident state is untouched.  The tenant becomes dirty — its
+        attach pin: the tenant's epoch bumps, its superseded matrices
+        purge from the shared cache, and other tenants' resident state is
+        untouched.  The tenant becomes dirty — its
         next eviction (or :meth:`save_manifest`) spills the extended
         index.  Returns ``(dataset_id, new_epoch)``.
         """
@@ -483,17 +475,21 @@ class IndexRegistry:
 
     def _make_service(self, dataset_id: str,
                       index: CoresetIndex) -> DiversityService:
-        """A tenant service wired into the shared plane and fleet."""
+        """A tenant service wired into the shared matrix cache."""
         return DiversityService(
             index, dataset_id=dataset_id, cache_size=self._cache_size,
             cache_stripes=self._cache_stripes,
             executor=self.default_executor,
             executor_workers=self.executor_workers,
-            matrices=self._matrices, executor_pool=self._pool)
+            matrices=self._matrices)
 
     def _fault_in(self, tenant: _Tenant) -> None:
         # Caller holds tenant.lock; the tenant is pinned.
-        index = load_index(tenant.path, dtype=tenant.dtype)
+        try:
+            index = load_index(tenant.path, dtype=tenant.dtype)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"dataset {tenant.dataset_id!r}: {exc}") from exc
         service = tenant.service = self._make_service(tenant.dataset_id,
                                                       index)
         # Replay the epoch the tenant had reached before eviction so a
@@ -533,7 +529,7 @@ class IndexRegistry:
         # Caller holds tenant.lock (and the guard pin).  Spill if the
         # on-disk copy is stale, fold the live counters into the tenant,
         # then drop the service — close() purges this dataset's matrices
-        # and shared segments from the registry-wide caches.
+        # from the registry-wide cache.
         service = tenant.service
         if tenant.dirty:
             tenant.path.parent.mkdir(parents=True, exist_ok=True)
@@ -605,8 +601,8 @@ class IndexRegistry:
         """The registry's observability snapshot (stats schema v1).
 
         Shares the service stats vocabulary — ``schema_version``,
-        ``matrices`` (the shared local cache + the pooled process
-        backend's shared block), ``executors`` — and adds the
+        ``matrices`` (the shared in-process cache), ``executors`` — and
+        adds the
         ``tenants`` section: ``registered`` / ``resident`` /
         ``max_resident`` totals, lifetime ``faults`` / ``evictions``,
         and a ``per_tenant`` map of ``resident`` / ``hits`` / ``faults``
@@ -670,28 +666,18 @@ class IndexRegistry:
                 "evictions": evictions,
                 "per_tenant": per_tenant,
             },
-            "matrices": {
-                "local": self._matrices.describe(),
-                "shared": self._pool.stats(),
-            },
+            "matrices": {"local": self._matrices.describe()},
             "executors": {
                 "default": self.default_executor,
                 "workers": self.executor_workers,
-                "active": self._pool.active(),
             },
         }
 
-    def segment_names(self) -> list[str]:
-        """Every shared-memory segment the registry currently publishes."""
-        return self._pool.segment_names()
-
     def close(self) -> None:
-        """Shut down every tenant, the fleet and the plane (idempotent).
+        """Shut down every tenant (idempotent).
 
-        Resident services close (purging their namespaces), the pooled
-        backends shut down, and a registry-owned temporary spill
-        directory is removed.  After this returns, zero shared-memory
-        segments published through this registry remain.
+        Resident services close, purging their matrix namespaces, and a
+        registry-owned temporary spill directory is removed.
         """
         with self._lock:
             if self._closed:
@@ -705,7 +691,6 @@ class IndexRegistry:
                 if tenant.service is not None:
                     tenant.service.close()
                     tenant.service = None
-        self._pool.close()
         if self._owns_spill_dir and self._spill_dir is not None:
             shutil.rmtree(self._spill_dir, ignore_errors=True)
 

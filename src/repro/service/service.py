@@ -19,10 +19,11 @@ from cached read-only state:
    contention;
 4. **solve**: the sequential approximation from
    :mod:`repro.diversity.sequential.registry` runs on the tiny core-set —
-   in the calling thread, on a thread pool, or on worker *processes* over
-   a shared-memory data plane, depending on the pluggable execution
-   backend (:mod:`repro.service.executors`).  All three backends return
-   bit-identical answers.  Per epoch and rung, one
+   in the calling thread (``serial``: same-rung misses grouped so the
+   rung matrix is fetched once per batch) or one query per task on a
+   per-call thread pool (``thread``: the matrix kernels and solvers run
+   in numpy, which releases the GIL).  Both return bit-identical
+   answers.  Per epoch and rung, one
    :class:`~repro.diversity.sequential.memo.SolverMemo` holds the greedy
    matching and the farthest-point order, so every objective and ``k``
    on that rung slices one shared prefix instead of rerunning the greedy.
@@ -55,6 +56,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
@@ -67,7 +69,6 @@ from repro.diversity.sequential.registry import solve_on_matrix
 from repro.exceptions import ValidationError
 from repro.metricspace.points import PointSet
 from repro.service.cache import StripedLRUCache
-from repro.service.executors import EXECUTOR_NAMES, create_executor
 from repro.service.index import (
     CoresetIndex,
     LadderRung,
@@ -77,6 +78,10 @@ from repro.service.matrices import MatrixCache
 from repro.service.persist import load_index, save_index
 from repro.utils.validation import check_in_range, check_positive_int
 
+
+#: Names accepted by ``DiversityService(executor=...)``, the query entry
+#: points and ``repro serve --executor``.
+EXECUTOR_NAMES = ("serial", "thread")
 
 #: Version of the canonical request/response/stats schemas.  Embedded in
 #: every :meth:`Query.to_dict` / :meth:`QueryResult.to_dict` payload and
@@ -110,6 +115,13 @@ def _verify_config_from_env() -> tuple[bool, float, float]:
     except ValueError:
         rtol = _DEFAULT_VERIFY_RTOL
     return enabled, min(max(fraction, 0.0), 1.0), max(rtol, 0.0)
+
+
+def check_executor(name: str) -> None:
+    """Reject (``ValidationError``) a name not in :data:`EXECUTOR_NAMES`."""
+    if name not in EXECUTOR_NAMES:
+        raise ValidationError(
+            f"unknown executor {name!r}; known: {', '.join(EXECUTOR_NAMES)}")
 
 
 def _check_schema_version(payload: dict, what: str) -> None:
@@ -148,18 +160,25 @@ class Query:
         """Rebuild a :class:`Query` from a :meth:`to_dict` payload.
 
         A missing ``schema_version`` is read as the current version (the
-        ergonomic wire form); an unknown one, or a ``k`` that is not a
-        positive int (``4.7``, ``true`` and ``"4"`` included), raises
+        ergonomic wire form).  Everything a query is checked for without
+        an index is checked here, so a bad payload fails alone at decode
+        instead of inside a coalesced batch: an unknown schema version,
+        an unknown objective, a ``k`` that is not a positive int
+        (``4.7``, ``true`` and ``"4"`` included) or an ``epsilon``
+        outside ``(0, 1]`` (NaN and infinities included) raises
         :class:`~repro.exceptions.ValidationError`.
         """
         _check_schema_version(payload, "Query")
         try:
             objective = str(payload["objective"])
+            get_objective(objective)
             k = check_positive_int(payload["k"], "k")
+            epsilon = check_in_range(float(payload.get("epsilon", 1.0)),
+                                     "epsilon", 0.0, 1.0)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(
                 f"malformed Query payload {payload!r}: {exc}") from exc
-        return cls(objective, k, float(payload.get("epsilon", 1.0)))
+        return cls(objective, k, epsilon)
 
 
 @dataclass(frozen=True)
@@ -267,20 +286,15 @@ class DiversityService:
         forces unbudgeted.  Evicted matrices are recomputed on demand
         with identical results (solvers are deterministic on a fixed
         core-set), so the budget trades recompute time for bounded
-        resident memory.  In process mode the same budget governs the
-        shared-memory matrix segments of each epoch's data plane.
+        resident memory.
     executor:
         Default execution backend for :meth:`query` / :meth:`query_batch`
-        — ``"serial"`` (default), ``"thread"`` or ``"process"`` (see
-        :mod:`repro.service.executors`); all three produce bit-identical
-        answers.  :meth:`query_concurrent` defaults to ``"thread"`` when
-        the service default is serial.  Services using the process
-        backend should be :meth:`close`\\ d (or used as a context
-        manager) so the worker pool and shared segments are torn down
-        deterministically; GC finalizers back that up.
+        — ``"serial"`` (default) or ``"thread"`` (:data:`EXECUTOR_NAMES`);
+        both produce bit-identical answers.  :meth:`query_concurrent`
+        defaults to ``"thread"`` when the service default is serial.
     executor_workers:
-        Worker fan-out used when the default backend is ``thread`` or
-        ``process`` and the call does not pass ``max_workers``.
+        Thread fan-out used when the default backend is ``thread`` and
+        the call does not pass ``max_workers``.
     verify_dtype, verify_fraction, verify_rtol:
         The float64 verify path for reduced-precision (float32) indexes:
         when enabled, a sampled fraction of fresh solves is recomputed
@@ -294,16 +308,14 @@ class DiversityService:
         Kept for callers that pass ``plan="static"``; any other value
         raises :class:`~repro.exceptions.ValidationError`.  The backend
         always comes from *executor* or the call site.
-    dataset_id, matrices, executor_pool:
+    dataset_id, matrices:
         Multi-tenant wiring used by
         :class:`~repro.service.registry.IndexRegistry`: *dataset_id*
-        namespaces every matrix- and result-cache key, *matrices* injects
-        a registry-shared :class:`~repro.service.matrices.MatrixCache`
-        (all tenants compete under one budget), and *executor_pool*
-        injects a shared :class:`~repro.service.executors.ExecutorPool`
-        so every tenant's process queries ride one worker fleet and one
-        shared-memory plane.  Standalone services leave all three at
-        their defaults and own their caches/backends outright.
+        namespaces every matrix- and result-cache key, and *matrices*
+        injects a registry-shared
+        :class:`~repro.service.matrices.MatrixCache` (all tenants compete
+        under one budget).  Standalone services leave both at their
+        defaults and own their caches outright.
 
     Thread safety: instances are safe to share across threads; see the
     module docstring for the locking model.
@@ -330,16 +342,12 @@ class DiversityService:
                  plan: str = "static",
                  dataset_id: str = "",
                  matrices: MatrixCache | None = None,
-                 executor_pool=None,
                  **build_options):
         if index is None and (points is None or k_max is None):
             raise ValidationError(
                 "DiversityService needs either a prebuilt index or "
                 "points + k_max for a lazy build")
-        if executor not in EXECUTOR_NAMES:
-            raise ValidationError(
-                f"unknown executor {executor!r}; "
-                f"known: {', '.join(EXECUTOR_NAMES)}")
+        check_executor(executor)
         if plan != "static":
             raise ValidationError(
                 f"unknown plan mode {plan!r}; the only one is 'static' — "
@@ -357,7 +365,7 @@ class DiversityService:
         #: services use the empty id; an :class:`~repro.service.registry.
         #: IndexRegistry` assigns each tenant its ``dataset_id`` so two
         #: tenants with identically-shaped rungs can never alias in the
-        #: shared matrix plane or the result cache.
+        #: shared matrix cache or the result cache.
         self.dataset_id = str(dataset_id)
         self.cache = StripedLRUCache(cache_size, stripes=cache_stripes)
         if matrix_budget_mb is None:
@@ -367,13 +375,11 @@ class DiversityService:
         else:
             budget_bytes = check_positive_int(
                 matrix_budget_mb, "matrix_budget_mb") * 2**20
-        self._matrix_budget_bytes = budget_bytes
-        # A registry injects one shared MatrixCache + ExecutorPool so all
-        # tenants compete under one budget; standalone services own theirs.
+        # A registry injects one shared MatrixCache so all tenants compete
+        # under one budget; standalone services own theirs.
         self._owns_matrices = matrices is None
         self._matrices = MatrixCache(budget_bytes) if matrices is None \
             else matrices
-        self._pool = executor_pool
         self.default_executor = executor
         self.executor_workers = check_positive_int(executor_workers,
                                                    "executor_workers")
@@ -390,8 +396,6 @@ class DiversityService:
         self.verify_value_mismatches = 0
         self.verify_index_mismatches = 0
         self.verify_ties = 0
-        self._executors: dict[str, object] = {}
-        self._executors_lock = threading.Lock()
         #: Rung builds performed by this instance; queries never bump it.
         self.build_calls = 0
         self.queries_answered = 0
@@ -508,14 +512,6 @@ class DiversityService:
                 # generation, so stale-epoch computes in flight cannot
                 # re-park their matrices afterwards.
                 self._matrices.purge(self.dataset_id, before_epoch=epoch)
-            # Retire superseded process-executor planes promptly: batches
-            # in flight hold pins, so their workers still finish on the
-            # old epoch's segments; the unlink happens when they drain.
-            backends = self._active_backends()
-        for backend in backends:
-            on_epoch = getattr(backend, "on_epoch", None)
-            if on_epoch is not None:
-                on_epoch(epoch, self.dataset_id)
         return extended
 
     def _snapshot(self) -> tuple[CoresetIndex, int, StripedLRUCache,
@@ -546,13 +542,12 @@ class DiversityService:
 
         Queries are routed first; same-rung cache misses are grouped so the
         rung's blocked pairwise matrix is computed (or fetched) exactly
-        once per batch, then each solver runs on the shared matrix —
-        in this thread (``serial``, the default), or on the requested
-        execution backend (*executor* overrides the service default; the
-        ``process`` backend dispatches solves to worker processes over
-        the shared-memory data plane with identical answers).  Results
-        come back in input order; exact repeats — within the batch or
-        across calls — are served from the LRU.
+        once per batch, then each solver runs on the shared matrix in
+        this thread (``serial``, the default).  *executor* overrides the
+        service default; ``thread`` answers one query per pool task,
+        with identical answers.  Results come back in input order; exact
+        repeats — within the batch or across calls — are served from the
+        LRU.
         """
         return self._execute(queries, executor, self.executor_workers,
                              concurrent=False)
@@ -560,18 +555,16 @@ class DiversityService:
     def query_concurrent(self, queries: Iterable[Query],
                          max_workers: int = 4,
                          executor: str | None = None) -> list[QueryResult]:
-        """Answer many requests on a worker pool, sharing cached state.
+        """Answer many requests on a thread pool, sharing cached state.
 
         With the default ``thread`` backend each query independently
-        routes, probes the lock-striped result cache, fetches its rung
-        matrix through the single-flight
+        probes the lock-striped result cache, fetches its rung matrix
+        through the single-flight
         :class:`~repro.service.matrices.MatrixCache` (concurrent same-rung
-        queries compute the matrix exactly once), and solves.  With
-        ``executor="process"`` the batch fans out to worker processes
-        over the shared-memory data plane instead, sidestepping the GIL
-        for the Python-heavy solvers.  Results come back in input order
-        and are identical to :meth:`query_batch` on the same service
-        state — solvers are deterministic on a fixed core-set.
+        queries compute the matrix exactly once), and solves.  Results
+        come back in input order and are identical to :meth:`query_batch`
+        on the same service state — solvers are deterministic on a fixed
+        core-set.
 
         Unlike :meth:`query_batch`, two *identical* in-flight thread
         queries may each run the (deterministic) solver if neither has
@@ -583,18 +576,26 @@ class DiversityService:
 
     def _execute(self, queries: Iterable[Query], executor: str | None,
                  max_workers: int, concurrent: bool) -> list[QueryResult]:
-        """Common query funnel: normalize, snapshot, route, dispatch, count.
+        """Common query funnel: normalize, snapshot, route, solve, count.
 
         The epsilon-reuse candidates are resolved here, against the
-        cache state *at batch start*, and handed to the backend: every
-        executor then sees the same reuse set regardless of solve order
-        or thread timing, which is what keeps concurrent answers
-        bit-identical to ``query_batch`` on mixed-eps workloads.
+        cache state *at batch start*: both backends then see the same
+        reuse set regardless of solve order or thread timing, which is
+        what keeps concurrent answers bit-identical to ``query_batch`` on
+        mixed-eps workloads.
 
         The backend is the call site's *executor*, else the service
         default — except that concurrent calls on a serial-default
-        service run on ``thread``.
+        service run on ``thread``.  ``serial`` runs the grouped
+        :meth:`_solve_grouped`; ``thread`` maps :meth:`_answer_one` over
+        a pool that lives for this call only.
         """
+        if executor is None:
+            executor = ("thread" if concurrent
+                        and self.default_executor == "serial"
+                        else self.default_executor)
+        else:
+            check_executor(executor)
         normalized = [self._normalize(query) for query in queries]
         if not normalized:
             if not concurrent:
@@ -603,14 +604,17 @@ class DiversityService:
             return []
         snapshot = self._snapshot()
         rungs, reuse = self._plan_batch(snapshot, normalized)
-        if executor is None:
-            if concurrent and self.default_executor == "serial":
-                executor = "thread"
-            else:
-                executor = self.default_executor
-        backend = self._executor_obj(executor)
-        results = backend.run(self, snapshot, normalized, max_workers,
-                              rungs, reuse)
+        if executor == "serial":
+            results = self._solve_grouped(snapshot, normalized, rungs, reuse)
+        else:
+            index, epoch, cache, matrices = snapshot
+            with ThreadPoolExecutor(
+                    max_workers=min(max_workers, len(normalized)),
+                    thread_name_prefix="repro-query") as pool:
+                results = list(pool.map(
+                    lambda query, rung: self._answer_one(
+                        index, epoch, cache, matrices, query, rung, reuse),
+                    normalized, rungs))
         with self._counter_lock:
             self.queries_answered += len(normalized)
             if concurrent:
@@ -619,84 +623,49 @@ class DiversityService:
                 self.batches_answered += 1
         return results
 
-    def _probe_batch(self, snapshot, normalized: list[Query],
-                     rungs: list[LadderRung],
-                     reuse: dict) -> tuple[list, dict]:
-        """Resolve cache hits and group the misses by cache key.
+    def _solve_grouped(self, snapshot, normalized: list[Query],
+                       rungs: list[LadderRung],
+                       reuse: dict) -> list[QueryResult]:
+        """The serial path: probe every query, solve each missed key once.
 
-        The one probe loop every batch-shaped backend shares — keeping
-        it in a single place is what keeps the serial and process
-        executors' probe, stats and in-batch-repeat semantics in
-        lockstep (the bit-identity contract).  Returns ``(results,
-        groups)``: *results* in input order with hits filled (``None``
-        marks a slot to solve), and *groups* mapping each missed cache
-        key to ``(rung, members)`` where the first member is the
-        occurrence to solve and the rest are in-batch repeats.  Repeats
-        defer their counted cache probe to :meth:`_finish_group`, so
-        stats count each query exactly once and agree with the cached
-        flags actually returned.
+        Hits fill their slots at once.  Misses are grouped by cache key,
+        and the keys by rung, so each rung's matrix is fetched once per
+        batch.  An in-batch repeat of a missed key defers its counted
+        probe until the key is solved, so stats count each query exactly
+        once and agree with the cached flags returned.  That probe
+        normally hits; if interleaved puts evicted the entry (a tiny
+        cache), the batch-local result serves it and the miss the probe
+        counted is accurate — no solver runs either way.
         """
-        index, epoch, cache, _ = snapshot
+        index, epoch, cache, matrices = snapshot
         results: list[QueryResult | None] = [None] * len(normalized)
-        groups: dict[tuple, tuple[LadderRung, list[tuple[int, Query]]]] = {}
-        pending: set[tuple] = set()
-        for i, query in enumerate(normalized):
-            rung = rungs[i]
+        groups: dict[tuple, list[tuple[int, Query]]] = {}
+        by_rung: dict[tuple, tuple[LadderRung, list[tuple]]] = {}
+        for i, (query, rung) in enumerate(zip(normalized, rungs)):
             cache_key = (self.dataset_id, epoch, query.objective, query.k,
                          index.seed, rung.key)
-            if cache_key not in pending:
+            members = groups.get(cache_key)
+            if members is None:
                 _, hit = self._lookup(cache, epoch, index, query, rung,
                                       reuse)
                 if hit is not None:
                     results[i] = hit
                     continue
-                pending.add(cache_key)
-            entry = groups.get(cache_key)
-            if entry is None:
-                groups[cache_key] = entry = (rung, [])
-            entry[1].append((i, query))
-        return results, groups
-
-    def _finish_group(self, cache: StripedLRUCache, cache_key: tuple,
-                      result: QueryResult, members: list,
-                      results: list) -> None:
-        """Memoize one solved group and fill its member result slots.
-
-        In-batch repeats run their deferred, counted probe here.
-        Normally that is an LRU hit; interleaved puts may have evicted
-        the entry (tiny cache), so the batch-local *result* is the
-        fallback — the miss the probe just counted is then accurate,
-        and no solver runs either way.
-        """
-        cache.put(cache_key, result)
-        results[members[0][0]] = result
-        for i, query in members[1:]:
-            hit = cache.get(cache_key)
-            if hit is None:
-                hit = result
-            results[i] = replace(hit, epsilon=query.epsilon, cached=True,
-                                 solve_seconds=0.0)
-
-    def _solve_grouped(self, snapshot, normalized: list[Query],
-                       rungs: list[LadderRung],
-                       reuse: dict) -> list[QueryResult]:
-        """The serial grouped solve path (the reference executor's body)."""
-        _, epoch, cache, matrices = snapshot
-        results, groups = self._probe_batch(snapshot, normalized, rungs,
-                                            reuse)
-        by_rung: dict[tuple, tuple[LadderRung, list[tuple]]] = {}
-        for cache_key, (rung, _members) in groups.items():
-            entry = by_rung.get(rung.key)
-            if entry is None:
-                by_rung[rung.key] = entry = (rung, [])
-            entry[1].append(cache_key)
+                groups[cache_key] = members = []
+                by_rung.setdefault(rung.key, (rung, []))[1].append(cache_key)
+            members.append((i, query))
         for rung, cache_keys in by_rung.values():
             dist = self._matrix_for(matrices, epoch, rung)
             for cache_key in cache_keys:
-                _, members = groups[cache_key]
-                result = self._solve(members[0][1], rung, dist, epoch)
-                self._finish_group(cache, cache_key, result, members,
-                                   results)
+                (first, query), *repeats = groups[cache_key]
+                result = self._solve(query, rung, dist, epoch)
+                cache.put(cache_key, result)
+                results[first] = result
+                for i, repeat in repeats:
+                    hit = cache.get(cache_key)
+                    results[i] = replace(result if hit is None else hit,
+                                         epsilon=repeat.epsilon, cached=True,
+                                         solve_seconds=0.0)
         return results  # type: ignore[return-value]
 
     def _answer_one(self, index: CoresetIndex, epoch: int,
@@ -769,7 +738,7 @@ class DiversityService:
 
         Returns ``(cache_key, hit-or-None)``.  The primary probe counts
         exactly one hit or miss for the query; on a miss, the
-        batch-start reuse set from :meth:`_reuse_candidates` may serve a
+        batch-start reuse set from :meth:`_plan_batch` may serve a
         tighter-eps answer (counted in :attr:`eps_hits`).
         """
         cache_key = (self.dataset_id, epoch, query.objective, query.k,
@@ -789,72 +758,18 @@ class DiversityService:
                                       solve_seconds=0.0)
         return cache_key, None
 
-    # -- execution backends ------------------------------------------------------
-    def _executor_obj(self, name: str):
-        """The (lazily created, cached) execution backend called *name*.
-
-        With an injected :class:`~repro.service.executors.ExecutorPool`
-        (registry mode) the backend comes from the shared pool instead —
-        one process fleet serves every tenant.
-        """
-        if name not in EXECUTOR_NAMES:
-            raise ValidationError(
-                f"unknown executor {name!r}; "
-                f"known: {', '.join(EXECUTOR_NAMES)}")
-        if self._pool is not None:
-            return self._pool.get(name)
-        with self._executors_lock:
-            backend = self._executors.get(name)
-            if backend is None or getattr(backend, "closed", False):
-                backend = create_executor(
-                    name, matrix_budget_bytes=self._matrix_budget_bytes)
-                self._executors[name] = backend
-            return backend
-
-    def _active_backends(self) -> list:
-        """Every live backend this service dispatches to (own or pooled)."""
-        if self._pool is not None:
-            return self._pool.backends()
-        with self._executors_lock:
-            return list(self._executors.values())
-
-    def warm_executor(self, executor: str | None = None,
-                      max_workers: int | None = None) -> None:
-        """Pre-start an execution backend's workers.
-
-        Spawning process workers costs noticeable wall time (a fresh
-        interpreter per worker); benchmarks call this before their timed
-        region so measured queries/sec reflect serving, not cold starts.
-        No-op for the serial and thread backends.
-        """
-        name = executor or self.default_executor
-        workers = (self.executor_workers if max_workers is None
-                   else check_positive_int(max_workers, "max_workers"))
-        self._executor_obj(name).warm(workers)
-
     def close(self) -> None:
-        """Shut down execution backends and unlink shared serving state.
+        """Give this tenant's share of a registry's matrix cache back.
 
-        After this returns, the process backend's worker pool is gone and
-        zero shared-memory segments published by this service remain (the
-        leak invariant the tests assert).  The service stays usable —
-        backends are recreated lazily on the next query.
-
-        In registry mode (injected matrix cache / executor pool) the
-        shared resources outlive this tenant: only this dataset's
-        namespace — its matrices, shared segments and worker planes — is
-        dropped from them, which is exactly the memory an eviction must
-        give back.
+        In registry mode (an injected matrix cache) the shared cache
+        outlives this tenant, so only this dataset's namespace is purged
+        from it — exactly the memory an eviction must give back.  A
+        standalone service owns its caches outright and holds no other
+        resources, so for it this does nothing.  The service stays usable
+        either way.
         """
-        with self._executors_lock:
-            backends = list(self._executors.values())
-            self._executors.clear()
-        for backend in backends:
-            backend.close()
         if not self._owns_matrices:
             self._matrices.purge(self.dataset_id)
-        if self._pool is not None:
-            self._pool.drop_dataset(self.dataset_id)
 
     def __enter__(self) -> "DiversityService":
         return self
@@ -997,10 +912,7 @@ class DiversityService:
           ``capacity``);
         * ``matrices`` — ``local``: the in-process
           :class:`~repro.service.matrices.MatrixCache` block;
-          ``shared``: the process backend's shared-segment block, or
-          ``None`` until that backend exists;
-        * ``executors`` — ``default``, ``workers``, ``active`` (backend
-          names instantiated so far);
+        * ``executors`` — ``default`` and ``workers``;
         * ``epochs`` — ``current``, ``refreshes``, ``index_built``,
           ``dtype`` (the index's storage dtype, ``None`` before build);
         * ``verify`` — the float64 shadow-check block: ``enabled`` /
@@ -1011,13 +923,6 @@ class DiversityService:
         The key inventory is documented in ``docs/serving.md`` and
         drift-gated by ``tests/test_docs.py``.
         """
-        if self._pool is not None:
-            process_backend = self._pool.peek("process")
-            active = sorted(self._pool.active())
-        else:
-            with self._executors_lock:
-                process_backend = self._executors.get("process")
-                active = sorted(self._executors)
         cache = self.cache
         return {
             "schema_version": SCHEMA_VERSION,
@@ -1033,15 +938,10 @@ class DiversityService:
                 "results": {**cache.stats.as_dict(), "entries": len(cache),
                             "capacity": cache.capacity},
             },
-            "matrices": {
-                "local": self._matrices.describe(),
-                "shared": (process_backend.stats()
-                           if process_backend is not None else None),
-            },
+            "matrices": {"local": self._matrices.describe()},
             "executors": {
                 "default": self.default_executor,
                 "workers": self.executor_workers,
-                "active": active,
             },
             "epochs": {
                 "current": self._epoch,

@@ -3,29 +3,16 @@
 One process publishes a numpy array into a named
 :class:`multiprocessing.shared_memory.SharedMemory` segment **once**; any
 number of worker processes attach by a tiny picklable descriptor
-(:class:`SharedArrayRef`) and read the rows zero-copy.  Two subsystems
-consume this plane:
-
-* the MapReduce engine (:mod:`repro.mapreduce.shm`) ships dataset
-  partitions to reducer processes as descriptors instead of pickled rows;
-* the query service's process executor (:mod:`repro.service.executors`)
-  publishes rung core-sets and on-demand rung distance matrices so worker
-  processes solve queries without ever copying the serving state through
-  the IPC pipe.
-
-Segments optionally carry an 8-byte **ready flag** ahead of the payload
-(``flagged=True``), the substrate of the cross-process single-flight
-protocol: the publisher allocates the (zero-filled) segment up front, and
-the first worker to take the segment's stripe lock computes the payload,
-writes it in place and flips the flag (:func:`fill_once`) — every later
-worker sees the flag and reads instead of recomputing.
+(:class:`SharedArrayRef`) and read the rows zero-copy.  Its consumer is
+the MapReduce engine (:mod:`repro.mapreduce.shm`), which ships dataset
+partitions to reducer processes as descriptors instead of pickled rows.
 
 Lifecycle: :class:`SharedNDArray` owns its segment and unlinks it on
 :meth:`~SharedNDArray.close` (idempotent), with a ``weakref.finalize``
 backstop so crashed or careless drivers do not leak ``/dev/shm`` entries.
-Worker-side attachments are cached per process
-(:func:`set_attachment_cache_limit`) because attaching costs a syscall
-plus a resource-tracker round trip.
+Worker-side attachments are cached per process because attaching costs a
+syscall plus a resource-tracker round trip; reducers stream through one
+dataset-sized segment at a time, so the cache holds one.
 
 Resource-tracker accounting: on CPython < 3.13 every attach registers the
 segment name with the (pool-shared) resource tracker, whose per-name cache
@@ -44,16 +31,12 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Callable
 
 import numpy as np
 
 #: Where Linux exposes POSIX shm segments as files; attachment pruning
 #: is a no-op on platforms without it.
 _SHM_DIR = "/dev/shm"
-
-#: Bytes reserved for the ready flag of ``flagged`` segments (one int64).
-FLAG_BYTES = 8
 
 #: Whether this interpreter's ``SharedMemory`` supports ``track=`` (3.13+),
 #: letting attachments skip resource-tracker registration entirely.
@@ -62,28 +45,9 @@ _SUPPORTS_TRACK = "track" in inspect.signature(
 
 # Per-process cache of attached segments, keyed by segment name.  The
 # limit bounds how much unlinked-but-mapped memory a worker can pin:
-# MapReduce workers touch one dataset-sized segment at a time (limit 1,
-# the historical default), while service query workers juggle several
-# small core-set and matrix segments per batch and raise the limit in
-# their pool initializer.
+# MapReduce workers touch one dataset-sized segment at a time.
 _ATTACHED: "OrderedDict[str, shared_memory.SharedMemory]" = OrderedDict()
 _ATTACH_CACHE_LIMIT = 1
-
-
-def set_attachment_cache_limit(limit: int) -> None:
-    """Set this process's attached-segment cache capacity (evicts now).
-
-    Parameters
-    ----------
-    limit:
-        Maximum number of segments kept mapped between calls; must be at
-        least 1.  Raising the limit helps workers that revisit many small
-        segments (the service's process executor); the default of 1 suits
-        workers that stream through one large segment at a time.
-    """
-    global _ATTACH_CACHE_LIMIT
-    _ATTACH_CACHE_LIMIT = max(int(limit), 1)
-    _evict_attachments()
 
 
 def _evict_attachments() -> None:
@@ -98,12 +62,12 @@ def _evict_attachments() -> None:
 def _prune_dead_attachments() -> None:
     """Drop cached attachments whose segment has been unlinked.
 
-    A publisher-side eviction (or epoch retirement) unlinks a segment,
-    but a worker's cached mapping keeps the pages alive — and since
-    publishers never reuse names, such a mapping can never be hit again;
-    it is pure pinned waste.  Pruning on every *new* attach bounds that
-    waste to the window until the next unseen segment arrives, which
-    under cache churn is exactly when dead segments accumulate.
+    A publisher's close unlinks a segment, but a worker's cached mapping
+    keeps the pages alive — and since publishers never reuse names, such
+    a mapping can never be hit again; it is pure pinned waste.  Pruning
+    on every *new* attach bounds that waste to the window until the next
+    unseen segment arrives, which under cache churn is exactly when dead
+    segments accumulate.
     """
     if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
         return
@@ -153,60 +117,25 @@ class SharedArrayRef:
     """Picklable descriptor of one array living in a shared segment.
 
     A few dozen bytes cross the IPC pipe instead of the array's contents.
-    ``flagged`` marks segments that reserve :data:`FLAG_BYTES` of header
-    for the single-flight ready flag ahead of the payload.
     """
 
     name: str
     shape: tuple
     dtype: str
-    flagged: bool = False
 
     @property
     def nbytes(self) -> int:
-        """Total segment bytes (payload plus flag header when flagged)."""
-        payload = int(np.prod(self.shape)) * np.dtype(self.dtype).itemsize
-        return payload + (FLAG_BYTES if self.flagged else 0)
+        """Payload bytes of the segment."""
+        return int(np.prod(self.shape)) * np.dtype(self.dtype).itemsize
 
     def resolve(self) -> np.ndarray:
         """The referenced array as a view over this process's attachment.
 
-        Treat the view as read-only shared state unless this process is
-        the one filling a flagged segment under its stripe lock.
+        Treat the view as read-only shared state.
         """
         segment = attach_segment(self.name)
-        offset = FLAG_BYTES if self.flagged else 0
         return np.ndarray(self.shape, dtype=np.dtype(self.dtype),
-                          buffer=segment.buf, offset=offset)
-
-    def resolve_flag(self) -> np.ndarray:
-        """The 0-d int64 ready-flag view of a flagged segment."""
-        if not self.flagged:
-            raise ValueError(f"segment {self.name!r} carries no ready flag")
-        segment = attach_segment(self.name)
-        return np.ndarray((), dtype=np.int64, buffer=segment.buf)
-
-
-def fill_once(ref: SharedArrayRef, lock,
-              compute: Callable[[], np.ndarray]) -> tuple[np.ndarray, bool]:
-    """Fill a flagged segment exactly once under *lock*; return its array.
-
-    The cross-process single-flight primitive: the caller holding *lock*
-    (a :class:`multiprocessing.Lock`, typically one of a striped set)
-    checks the ready flag, runs *compute* and publishes the result if the
-    segment is still empty, and otherwise reads what an earlier holder
-    published.  Returns ``(array, computed)`` where *computed* reports
-    whether this call did the work — the publisher's stats accounting
-    relies on exactly one caller per segment reporting ``True``.
-    """
-    flag = ref.resolve_flag()
-    data = ref.resolve()
-    with lock:
-        if flag[()] == 0:
-            data[...] = compute()
-            flag[()] = 1
-            return data, True
-    return data, False
+                          buffer=segment.buf)
 
 
 class SharedNDArray:
@@ -216,11 +145,7 @@ class SharedNDArray:
     ----------
     shape, dtype:
         Geometry of the payload array.  The segment is created zero-filled
-        (the kernel guarantees this for fresh POSIX shm), which doubles as
-        the "not ready" state of flagged segments.
-    flagged:
-        Reserve :data:`FLAG_BYTES` of header for a single-flight ready
-        flag ahead of the payload.
+        (the kernel guarantees this for fresh POSIX shm).
 
     Example
     -------
@@ -230,37 +155,26 @@ class SharedNDArray:
     >>> owner.close()
     """
 
-    def __init__(self, shape: tuple, dtype="float64", flagged: bool = False):
+    def __init__(self, shape: tuple, dtype="float64"):
         shape = tuple(int(side) for side in shape)
         dtype = np.dtype(dtype)
-        payload = int(np.prod(shape)) * dtype.itemsize
-        size = payload + (FLAG_BYTES if flagged else 0)
+        size = int(np.prod(shape)) * dtype.itemsize
         self._segment = shared_memory.SharedMemory(create=True,
                                                    size=max(size, 1))
         self.ref = SharedArrayRef(name=self._segment.name, shape=shape,
-                                  dtype=dtype.str, flagged=flagged)
-        offset = FLAG_BYTES if flagged else 0
+                                  dtype=dtype.str)
         self._array: np.ndarray | None = np.ndarray(
-            shape, dtype=dtype, buffer=self._segment.buf, offset=offset)
+            shape, dtype=dtype, buffer=self._segment.buf)
         self._closed = False
         self._finalizer = weakref.finalize(self, release_segment,
                                            self._segment)
 
     @classmethod
-    def publish(cls, array: np.ndarray, flagged: bool = False,
-                ready: bool = True) -> "SharedNDArray":
-        """Copy *array* into a fresh segment (its one IPC-visible copy).
-
-        With ``flagged=True`` the ready flag is set according to *ready*
-        — publishers of precomputed payloads mark them ready, publishers
-        of to-be-filled slots leave them empty.
-        """
+    def publish(cls, array: np.ndarray) -> "SharedNDArray":
+        """Copy *array* into a fresh segment (its one IPC-visible copy)."""
         array = np.ascontiguousarray(array)
-        owner = cls(array.shape, array.dtype, flagged=flagged)
+        owner = cls(array.shape, array.dtype)
         owner.array[...] = array
-        if flagged and ready:
-            np.ndarray((), dtype=np.int64,
-                       buffer=owner._segment.buf)[()] = 1
         return owner
 
     @property

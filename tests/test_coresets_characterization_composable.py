@@ -7,6 +7,8 @@ composable version survives arbitrary partitioning (Definition 2).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,16 @@ class TestSizing:
     def test_bad_epsilon_rejected(self):
         with pytest.raises(ValidationError):
             coreset_size_for(4, 0.0, 2.0, "remote-edge")
+
+    @pytest.mark.parametrize("epsilon", [1e-300, 5e-324])
+    def test_tiny_epsilon_clamps_instead_of_overflowing(self, epsilon):
+        # (c/eps')**D overflows a float (1e-300), or eps' underflows to
+        # zero (the smallest subnormal): the size clamps to sys.maxsize,
+        # where every size too large for an index already sits.
+        size = coreset_size_for(4, epsilon, 3.0, "remote-edge")
+        assert type(size) is int and size == sys.maxsize
+        assert coreset_size_for(4, 1e-20, 3.0, "remote-edge") == size
+        assert coreset_size_for(4, 1e-3, 3.0, "remote-edge") < size
 
 
 @pytest.fixture

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+from repro import shm
 from repro.datasets.synthetic import sphere_shell
 from repro.exceptions import MemoryBudgetExceededError, ValidationError
 from repro.experiments.reference import reference_value
@@ -315,7 +322,7 @@ class TestMultiRound:
             algo.run_multi_round(pts, memory_target=4)
 
 
-class TestProcessExecutor:
+class TestProcessEngine:
     def test_process_pool_matches_serial_quality(self):
         pts = sphere_shell(600, 4, dim=3, seed=43)
         serial = MRDiversityMaximizer(k=4, k_prime=8, objective="remote-edge",
@@ -387,3 +394,109 @@ class TestRandomizedCap:
         small = randomized_delegate_cap(10**6, 64, 64)
         large = randomized_delegate_cap(10**6, 4096, 4)
         assert large >= small
+
+
+# -- the shared-memory plane under the process engine -------------------------
+
+def _shm_segments() -> set[str]:
+    """Names of the POSIX shared-memory segments currently linked."""
+    try:
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith("psm_")}
+    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
+        return set()
+
+
+class TestSharedNDArray:
+    def test_publish_resolve_roundtrip_and_unlink(self):
+        data = np.arange(12.0).reshape(3, 4)
+        owner = shm.SharedNDArray.publish(data)
+        assert np.array_equal(owner.ref.resolve(), data)
+        assert owner.nbytes == data.nbytes
+        name = owner.ref.name
+        assert name in _shm_segments()
+        owner.close()
+        owner.close()  # idempotent
+        assert name not in _shm_segments()
+        shm.close_attachments()
+
+    def test_attachment_cache_holds_one_segment(self):
+        owners = [shm.SharedNDArray.publish(np.zeros((4,))) for _ in range(3)]
+        try:
+            for owner in owners:
+                owner.ref.resolve()
+            assert list(shm._ATTACHED) == [owners[-1].ref.name]
+            # The evicted attachment re-attaches on demand.
+            assert owners[0].ref.resolve() is not None
+            assert list(shm._ATTACHED) == [owners[0].ref.name]
+        finally:
+            shm.close_attachments()
+            for owner in owners:
+                owner.close()
+
+    def test_dead_attachments_pruned(self):
+        # A publisher-side unlink must not stay pinned by this process's
+        # attachment cache: a dataset's worth of RAM would stay mapped.
+        owner = shm.SharedNDArray.publish(np.zeros((4,)))
+        try:
+            owner.ref.resolve()
+            name = owner.ref.name
+            owner.close()  # unlinked while still cached here
+            assert name in shm._ATTACHED  # ...and still mapped
+            shm._prune_dead_attachments()  # what every new attach runs
+            assert name not in shm._ATTACHED
+        finally:
+            shm.close_attachments()
+            owner.close()
+
+    def test_finalizer_backstop_unlinks(self):
+        owner = shm.SharedNDArray.publish(np.zeros((8, 8)))
+        name = owner.ref.name
+        assert name in _shm_segments()
+        del owner
+        gc.collect()
+        assert name not in _shm_segments()
+
+
+def test_subprocess_run_emits_no_tracker_warnings(tmp_path):
+    # Spawn-context reducers attach the published dataset segment; they
+    # must not double-register it with the resource tracker.  The whole
+    # build runs in a subprocess so tracker output at interpreter
+    # shutdown is captured too.
+    script = tmp_path / "engine_tracker_probe.py"
+    script.write_text(textwrap.dedent("""\
+        import os
+        from repro.datasets.synthetic import sphere_shell
+        from repro.service import build_coreset_index
+
+        def main():
+            points = sphere_shell(600, 8, dim=3, seed=3)
+            before = {n for n in os.listdir("/dev/shm")
+                      if n.startswith("psm_")}
+            serial = build_coreset_index(points, k_max=8, k_min=4,
+                                         parallelism=2, seed=0)
+            index = build_coreset_index(points, k_max=8, k_min=4,
+                                        executor="process",
+                                        parallelism=2, seed=0)
+            after = {n for n in os.listdir("/dev/shm")
+                     if n.startswith("psm_")}
+            assert after - before == set(), after - before
+            for ours, theirs in zip(index.all_rungs(), serial.all_rungs()):
+                assert (ours.coreset.points == theirs.coreset.points).all()
+            print("OK")
+
+        if __name__ == "__main__":
+            main()
+    """))
+    env = dict(os.environ)
+    repo_src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, str(script)],
+                          capture_output=True, text=True, timeout=300,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "OK" in proc.stdout
+    assert "resource_tracker" not in proc.stderr, proc.stderr
+    assert "leaked" not in proc.stderr, proc.stderr
+    assert "KeyError" not in proc.stderr, proc.stderr

@@ -4,7 +4,7 @@ Covers the registry PR's acceptance criteria:
 
 * evict -> fault-back bit-identity — a tenant bounced through the cold
   tier answers exactly like an always-hot replica, across all six
-  objectives, both dtypes, and the serial vs process executors;
+  objectives, both dtypes, and the serial vs thread executors;
 * no cross-tenant aliasing — two tenants with identically-shaped rungs
   return different answers (cache keys open with ``(dataset_id,
   epoch)``);
@@ -14,16 +14,13 @@ Covers the registry PR's acceptance criteria:
   and epochs stay monotonic across eviction;
 * manifest round-trip — ``save_manifest`` / ``from_directory`` rebuild
   an answer-identical registry; malformed manifests are rejected;
-* leak-free lifecycle — a process-executor registry publishes zero
-  shared-memory segments after ``close()``, and a worker killed under
-  the shared fleet is replaced for every tenant.
+* corrupt index files — a truncated ``.npz`` or a garbage ``.json``
+  fails the fault-in with a typed error naming the tenant and the file.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import signal
 import threading
 
 import numpy as np
@@ -55,15 +52,6 @@ def _points(seed: int, n: int = 140) -> PointSet:
     return PointSet(rng.normal(size=(n, 3)))
 
 
-def _shm_segments() -> set[str]:
-    """Names of the POSIX shared-memory segments currently linked."""
-    try:
-        return {name for name in os.listdir("/dev/shm")
-                if name.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
-        return set()
-
-
 def result_key(result) -> tuple:
     return (result.value, tuple(result.indices), result.rung)
 
@@ -77,7 +65,7 @@ def indexes():
 # -- evict -> fault-back bit-identity -----------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["serial", "process"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
 @pytest.mark.parametrize("dtype", [None, "float32"])
 def test_evict_fault_back_bit_identity(indexes, tmp_path, executor, dtype):
     """Tiered answers == always-hot answers, all objectives x dtypes."""
@@ -118,7 +106,7 @@ def test_evict_fault_back_bit_identity(indexes, tmp_path, executor, dtype):
 
 
 def test_same_shape_tenants_do_not_alias(indexes):
-    """Identically-shaped rungs under one shared plane never collide."""
+    """Identically-shaped rungs under one shared cache never collide."""
     with IndexRegistry() as registry:
         registry.register("eu", indexes["eu"])
         registry.register("us", indexes["us"])
@@ -374,42 +362,52 @@ def test_from_directory_rejects_bad_manifests(tmp_path):
         IndexRegistry.from_directory(tmp_path)
 
 
-# -- lifecycle ----------------------------------------------------------------
+# -- corrupt index files ------------------------------------------------------
 
 
-def test_process_registry_leaves_no_segments(indexes):
-    registry = IndexRegistry(executor="process", executor_workers=2)
-    try:
-        registry.register("eu", indexes["eu"])
+def _truncate_npz(base) -> str:
+    path = base.with_name(base.name + ".npz")
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    return path.name
+
+
+def _garble_json(base) -> str:
+    path = base.with_name(base.name + ".json")
+    path.write_text("{garbage")
+    return path.name
+
+
+@pytest.mark.parametrize("corrupt", [_truncate_npz, _garble_json],
+                         ids=["truncated-npz", "garbage-json"])
+def test_corrupt_registered_file_names_tenant_and_file(indexes, tmp_path,
+                                                       corrupt):
+    save_index(indexes["eu"], tmp_path / "eu")
+    save_index(indexes["us"], tmp_path / "us")
+    name = corrupt(tmp_path / "eu")
+    with IndexRegistry() as registry:
+        registry.register("eu", path=tmp_path / "eu")
+        registry.register("us", path=tmp_path / "us")
+        with pytest.raises(ValidationError) as caught:
+            registry.query("eu", "remote-edge", 4)
+        assert "'eu'" in str(caught.value) and name in str(caught.value)
+        # The other tenant keeps answering.
+        assert registry.query("us", "remote-edge", 4).value > 0
+
+
+@pytest.mark.parametrize("corrupt", [_truncate_npz, _garble_json],
+                         ids=["truncated-npz", "garbage-json"])
+def test_file_corrupted_after_eviction_fails_fault_in(indexes, tmp_path,
+                                                      corrupt):
+    save_index(indexes["eu"], tmp_path / "eu")
+    with IndexRegistry(max_resident=1) as registry:
+        registry.register("eu", path=tmp_path / "eu")
         registry.register("us", indexes["us"])
-        queries = [Query("remote-edge", 4), Query("remote-clique", 4)]
-        for name in ("eu", "us"):
-            registry.query_batch(queries, name)
-        names = set(registry.segment_names())
-        assert names, "process batches must publish shared segments"
-        assert names <= _shm_segments()
-    finally:
-        registry.close()
-    assert registry.segment_names() == []
-    assert names & _shm_segments() == set()
-
-
-def test_process_fleet_heals_for_every_tenant(indexes):
-    # Every tenant rides one worker fleet, so one dead worker must not
-    # take the fleet down for any of them.
-    queries = [Query(objective, 4) for objective in OBJECTIVES]
-    expected = {}
-    for name in ("eu", "us"):
-        with DiversityService(indexes[name]) as oracle:
-            expected[name] = [result_key(r)
-                              for r in oracle.query_batch(queries)]
-    with IndexRegistry(executor="process", executor_workers=2) as registry:
-        for name in ("eu", "us"):
-            registry.register(name, indexes[name])
-        registry.query_batch([Query("remote-edge", 3)], "eu")  # fleet up
-        pool = registry._pool.get("process")._pool
-        os.kill(next(iter(pool._processes)), signal.SIGKILL)
-        for name in ("eu", "us"):
-            got = [result_key(r) for r in registry.query_batch(queries, name)]
-            assert got == expected[name]
-        assert registry._pool.get("process")._pool is not pool
+        assert registry.query("eu", "remote-edge", 4).value > 0
+        registry.query("us", "remote-edge", 4)  # evicts "eu"
+        assert not registry.stats()["tenants"]["per_tenant"]["eu"][
+            "resident"]
+        name = corrupt(tmp_path / "eu")
+        with pytest.raises(ValidationError) as caught:
+            registry.query("eu", "remote-edge", 4)
+        assert "'eu'" in str(caught.value) and name in str(caught.value)

@@ -661,15 +661,25 @@ def test_single_index_server_rejects_tenant_routing(index):
     assert missing[0] == 404  # no /tenants route on a single-index daemon
 
 
-@pytest.mark.parametrize("k", [4.7, True, 0],
-                         ids=["fractional", "bool", "zero"])
-def test_bad_wire_k_is_rejected_without_failing_its_batch(index, k):
-    # 4.7 must not be answered as k=4, nor true as k=1; and a zero k
-    # must not fail the valid requests coalesced into its batch.
+@pytest.mark.parametrize("payload", [
+    {"objective": "remote-edge", "k": 4.7},
+    {"objective": "remote-edge", "k": True},
+    {"objective": "remote-edge", "k": 0},
+    {"objective": "nope", "k": 4},
+    {"objective": "remote-edge", "k": 4, "epsilon": 2.0},
+    {"objective": "remote-edge", "k": 4, "epsilon": 0},
+    {"objective": "remote-edge", "k": 4, "epsilon": float("nan")},
+], ids=["fractional", "bool", "zero", "unknown-objective", "epsilon-above-1",
+        "epsilon-zero", "epsilon-nan"])
+def test_bad_wire_query_is_rejected_without_failing_its_batch(index,
+                                                              payload):
+    # 4.7 must not be answered as k=4, nor true as k=1; and a query the
+    # service would refuse must be refused at decode, not fail the valid
+    # requests coalesced into its batch as ``internal``.
     query = Query("remote-edge", 4, 1.0)
     with DiversityService(index, cache_size=16) as oracle:
         expected = result_key(oracle.query_batch([query])[0])
-    bad = {"queries": [{"objective": "remote-edge", "k": k}]}
+    bad = {"queries": [payload]}
 
     async def run():
         server = fresh_server(index)
@@ -697,6 +707,35 @@ def test_bad_wire_k_is_rejected_without_failing_its_batch(index, k):
     assert http[1]["error"]["code"] == "bad_request"
     assert stats["accepted"] == 2
     assert stats["bad_requests"] == 2
+    assert stats["internal_errors"] == 0
+
+
+def test_tiny_epsilon_is_answered_without_failing_its_batch(index):
+    # (c/eps')**D overflows a float at eps=1e-300: the query must route
+    # to the top covering rung like any unmet eps, not fail as internal.
+    tiny = Query("remote-edge", 4, 1e-300)
+    valid = Query("remote-clique", 4, 1.0)
+    with DiversityService(index, cache_size=16) as oracle:
+        expected = [result_key(oracle.query_batch([query])[0])
+                    for query in (Query("remote-edge", 4, 1e-20), valid)]
+
+    async def run():
+        server = fresh_server(index)
+        host, port = await server.start()
+        try:
+            responses = await send_lines(host, port, [
+                protocol.encode_request("query", 0, queries=[tiny]),
+                protocol.encode_request("query", 1, queries=[valid])])
+        finally:
+            await server.shutdown()
+        return responses, server.stats()["server"]
+
+    responses, stats = asyncio.run(run())
+    by_id = {r["id"]: r for r in responses}
+    for request_id in (0, 1):
+        assert by_id[request_id]["ok"], by_id[request_id]
+        assert result_key(protocol.results_of(by_id[request_id])[0]) \
+            == expected[request_id]
     assert stats["internal_errors"] == 0
 
 

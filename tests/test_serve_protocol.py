@@ -61,11 +61,17 @@ def test_query_from_dict_rejects_unknown_schema_version():
     {"objective": "remote-edge", "k": 4.0},
     {"objective": "remote-edge", "k": 0},
     {"objective": "remote-edge", "k": -3},
+    {"objective": "nope", "k": 4},
+    {"objective": "remote-edge", "k": 4, "epsilon": 2.0},
+    {"objective": "remote-edge", "k": 4, "epsilon": 0},
+    {"objective": "remote-edge", "k": 4, "epsilon": float("nan")},
 ], ids=["no-k", "fractional-k", "bool-k", "string-k", "float-k", "zero-k",
-        "negative-k"])
+        "negative-k", "unknown-objective", "epsilon-above-1", "epsilon-zero",
+        "epsilon-nan"])
 def test_query_from_dict_rejects_malformed_payload(payload):
-    # k is validated like an in-process Query's, never truncated: 4.7
-    # must not be answered as k=4, nor true as k=1.
+    # Every field is validated like an in-process Query's, at decode:
+    # k is never truncated (4.7 must not be answered as k=4, nor true as
+    # k=1), the objective must exist and epsilon must lie in (0, 1].
     with pytest.raises(ValidationError, match="malformed"):
         Query.from_dict(payload)
 

@@ -136,6 +136,16 @@ class TestCoresetIndex:
         assert small.k_prime >= practical_coreset_size(
             2, 1.0, index.dimension_estimate, "remote-edge")
 
+    @pytest.mark.parametrize("objective", ["remote-edge", "remote-clique"])
+    def test_tiny_epsilon_routes_like_any_unmet_epsilon(self, index,
+                                                        objective):
+        # (c/eps')**D overflows a float at eps=1e-300; the sizing clamps,
+        # so the query takes the same rung as another eps no rung meets.
+        service = DiversityService(index)
+        tiny = service.query(objective, 4, 1e-300)
+        assert tiny.rung == service.query(objective, 4, 1e-20).rung
+        assert tiny.rung == index.route(objective, 4, 1e-20).key
+
     def test_routing_respects_family(self, index):
         assert index.route("remote-cycle", 4).family == "gmm"
         assert index.route("remote-star", 4).family == "gmm-ext"
@@ -333,8 +343,8 @@ class TestDiversityService:
         assert set(stats["verify"]) == {
             "enabled", "fraction", "rtol", "checks", "value_mismatches",
             "index_mismatches", "ties"}
-        assert stats["matrices"]["shared"] is None  # no process backend yet
-        assert stats["executors"]["default"] == "serial"
+        assert set(stats["matrices"]) == {"local"}
+        assert stats["executors"] == {"default": "serial", "workers": 4}
         assert set(stats["caches"]["results"]) == {
             "hits", "misses", "evictions", "hit_rate", "entries", "capacity"}
 
@@ -370,11 +380,26 @@ class TestExecutorChoice:
 
     QUERIES = [Query("remote-edge", 4), Query("remote-clique", 6)]
 
+    #: The method each backend runs: the grouped serial solve, or one
+    #: ``_answer_one`` per query on the thread pool.
+    PATHS = {"serial": "_solve_grouped", "thread": "_answer_one"}
+
     @pytest.fixture(scope="class")
     def reference(self, index):
         return DiversityService(index).query_batch(self.QUERIES)
 
-    def _check(self, index, reference, entry, default, executor, expected):
+    def _check(self, index, reference, entry, default, executor, expected,
+               monkeypatch):
+        calls = []
+        for method in self.PATHS.values():
+            original = getattr(DiversityService, method)
+
+            def recorded(*args, _method=method, _original=original,
+                         **kwargs):
+                calls.append(_method)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(DiversityService, method, recorded)
         with DiversityService(index, executor=default,
                               executor_workers=1) as service:
             if entry == "query_batch":
@@ -384,9 +409,8 @@ class TestExecutorChoice:
                 results = service.query_concurrent(self.QUERIES,
                                                    max_workers=1,
                                                    executor=executor)
-            # Backends are created lazily, so the one that ran is the
-            # only one the fresh service has.
-            assert service.stats()["executors"]["active"] == [expected]
+        per_call = 1 if expected == "serial" else len(self.QUERIES)
+        assert calls == [self.PATHS[expected]] * per_call
         for ours, theirs in zip(results, reference):
             assert ours.value == theirs.value
             assert np.array_equal(ours.indices, theirs.indices)
@@ -394,21 +418,21 @@ class TestExecutorChoice:
     @pytest.mark.parametrize("entry, default, expected", [
         ("query_batch", "serial", "serial"),
         ("query_batch", "thread", "thread"),
-        ("query_batch", "process", "process"),
         ("query_concurrent", "serial", "thread"),
         ("query_concurrent", "thread", "thread"),
-        ("query_concurrent", "process", "process"),
     ])
     def test_service_default(self, index, reference, entry, default,
-                             expected):
-        self._check(index, reference, entry, default, None, expected)
+                             expected, monkeypatch):
+        self._check(index, reference, entry, default, None, expected,
+                    monkeypatch)
 
     @pytest.mark.parametrize("entry", ["query_batch", "query_concurrent"])
     @pytest.mark.parametrize("default", EXECUTOR_NAMES)
     @pytest.mark.parametrize("executor", EXECUTOR_NAMES)
     def test_call_site_executor_wins(self, index, reference, entry, default,
-                                     executor):
-        self._check(index, reference, entry, default, executor, executor)
+                                     executor, monkeypatch):
+        self._check(index, reference, entry, default, executor, executor,
+                    monkeypatch)
 
 
 # -- float64 shadow verify ----------------------------------------------------
@@ -487,6 +511,20 @@ class TestPersistence:
     def test_missing_files_raise(self, tmp_path):
         with pytest.raises(ValidationError, match="no saved index"):
             load_index(tmp_path / "nope")
+
+    @pytest.mark.parametrize("suffix, garbage", [
+        (".npz", None), (".json", b"{garbage"), (".json", b"\xff\xfe\x00"),
+        (".json", b"[1, 2]")],
+        ids=["truncated-npz", "garbage-json", "binary-json", "array-json"])
+    def test_corrupt_file_raises_naming_it(self, index, tmp_path, suffix,
+                                           garbage):
+        save_index(index, tmp_path / "idx")
+        target = tmp_path / f"idx{suffix}"
+        if garbage is None:  # cut the archive off mid-file
+            garbage = target.read_bytes()[:target.stat().st_size // 2]
+        target.write_bytes(garbage)
+        with pytest.raises(ValidationError, match=f"idx\\{suffix}"):
+            load_index(tmp_path / "idx")
 
     def test_dotted_paths_do_not_collide(self, dataset, tmp_path):
         # Suffixes are appended, never substituted: "model.a" and

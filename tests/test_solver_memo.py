@@ -4,7 +4,7 @@ Both greedies behind the sequential solvers are prefix-stable on a fixed
 matrix, so a :class:`SolverMemo` filled once answers every ``k`` by
 slicing.  The properties hold the memo to a memo-less
 ``solve_on_matrix`` bit for bit on tie-heavy, read-only inputs; the
-service tests count the matchings each executor actually runs.
+service tests count the matchings each backend actually runs.
 """
 
 from __future__ import annotations
@@ -114,12 +114,6 @@ class TestMemoEqualsFreshSolve:
                                                   memo=memo),
                                   solve_on_matrix(dist, 8, objective))
 
-    def test_merge_keeps_the_longer_prefix(self):
-        memo = SolverMemo(8, pairs=[(0, 1), (2, 3)], order=[4])
-        memo.merge([(0, 1)], [4, 5, 6])
-        assert memo.pairs == ((0, 1), (2, 3))
-        assert memo.order == (4, 5, 6)
-
 
 # -- the service shares one memo per rung and epoch ---------------------------
 
@@ -219,38 +213,6 @@ class TestRefreshStartsFreshMemos:
         assert service._memo_for(0, rung) is not service._memo_for(0, rung)
         assert service._memo_for(1, rung) is service._memo_for(1, rung)
         assert stale not in service._memos.values()
-
-
-class TestProcessPrefixes:
-    def test_workers_ship_prefixes_back(self, index, monkeypatch):
-        merged = []
-        original = SolverMemo.merge
-
-        def recorded(memo, pairs=(), order=()):
-            merged.append((memo, tuple(pairs), tuple(order)))
-            return original(memo, pairs, order)
-
-        queries = _every_query()
-        serial = DiversityService(index).query_batch(queries)
-        with DiversityService(index, executor="process",
-                              executor_workers=2) as service:
-            monkeypatch.setattr(SolverMemo, "merge", recorded)
-            first = service.query_batch(queries)
-            assert _answers(first) == _answers(serial)
-            assert any(pairs for _, pairs, _ in merged)
-            assert any(order for _, _, order in merged)
-            for memo, pairs, order in merged:
-                assert memo.pairs[:len(pairs)] == pairs
-                assert memo.order[:len(order)] == order
-            # Same epoch, cold results: every task starts from the
-            # driver's full prefixes, so no worker fills either one.
-            merged.clear()
-            service.cache = service.cache.successor()
-            second = service.query_batch(queries)
-            assert merged
-            assert all(pairs == () and order == ()
-                       for _, pairs, order in merged)
-            assert _answers(second) == _answers(serial)
 
 
 def test_verify_shadow_solves_on_its_own_matrix(index, monkeypatch):
