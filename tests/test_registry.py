@@ -15,7 +15,9 @@ Covers the registry PR's acceptance criteria:
 * manifest round-trip — ``save_manifest`` / ``from_directory`` rebuild
   an answer-identical registry; malformed manifests are rejected;
 * corrupt index files — a truncated ``.npz`` or a garbage ``.json``
-  fails the fault-in with a typed error naming the tenant and the file.
+  fails the fault-in with a typed error naming the tenant and the file;
+* closing gives matrices back — closing or evicting a tenant purges its
+  namespace, and only its namespace, from the shared matrix cache.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.service import (
     MANIFEST_NAME,
     DiversityService,
     IndexRegistry,
+    MatrixCache,
     Query,
     UnknownDatasetError,
     build_coreset_index,
@@ -411,3 +414,71 @@ def test_file_corrupted_after_eviction_fails_fault_in(indexes, tmp_path,
         with pytest.raises(ValidationError) as caught:
             registry.query("eu", "remote-edge", 4)
         assert "'eu'" in str(caught.value) and name in str(caught.value)
+
+
+# -- closing gives matrices back ----------------------------------------------
+
+
+def _matrix_keys(dataset_id: str, results) -> set[tuple]:
+    """The shared-cache keys of the rungs *results* were solved on."""
+    return {(dataset_id, r.epoch, r.rung) for r in results}
+
+
+def test_closing_a_tenant_purges_only_its_matrices(indexes):
+    shared = MatrixCache()
+    services = {name: DiversityService(indexes[name], dataset_id=name,
+                                       matrices=shared)
+                for name in ("eu", "us")}
+    queries = [Query(objective, 4) for objective in OBJECTIVES]
+    keys = {name: _matrix_keys(name, service.query_batch(queries))
+            for name, service in services.items()}
+    assert len(shared) == len(keys["eu"]) + len(keys["us"])
+    services["eu"].close()
+    assert not any(shared.contains(key) for key in keys["eu"])
+    assert all(shared.contains(key) for key in keys["us"])
+    # The closed tenant stays usable: a cold query recomputes its matrix
+    # bit-identically.
+    more = [Query(objective, 3) for objective in OBJECTIVES]
+    with DiversityService(indexes["eu"], cache_size=64) as oracle:
+        expected = [result_key(r) for r in oracle.query_batch(more)]
+    assert [result_key(r)
+            for r in services["eu"].query_batch(more)] == expected
+    with services["us"]:  # leaving the block closes the tenant
+        pass
+    assert not any(shared.contains(key) for key in keys["us"])
+    assert len(shared) == len(_matrix_keys("eu", services["eu"]
+                                           .query_batch(more)))
+
+
+def test_standalone_close_keeps_its_own_matrices(indexes):
+    service = DiversityService(indexes["eu"])
+    queries = [Query(objective, 4) for objective in OBJECTIVES]
+    first = [result_key(r) for r in service.query_batch(queries)]
+    before = service.stats()["matrices"]["local"]
+    service.close()
+    assert service.stats()["matrices"]["local"] == before
+    service.cache = service.cache.successor()  # cold results, warm matrices
+    assert [result_key(r) for r in service.query_batch(queries)] == first
+    after = service.stats()["matrices"]["local"]
+    assert after["computes"] == before["computes"]
+
+
+def test_evicting_a_tenant_gives_its_matrix_bytes_back(indexes):
+    queries = [Query(objective, 4) for objective in OBJECTIVES]
+    with IndexRegistry() as alone:
+        alone.register("us", indexes["us"])
+        alone.query_batch(queries, "us")
+        us_only = alone.stats()["matrices"]["local"]
+    with IndexRegistry(max_resident=1) as registry:
+        registry.register("eu", indexes["eu"])
+        registry.register("us", indexes["us"])
+        registry.query_batch(queries, "eu")
+        eu_only = registry.stats()["matrices"]["local"]
+        registry.query_batch(queries, "us")  # evicts "eu"
+        stats = registry.stats()
+        assert stats["tenants"]["resident"] == 1
+        assert not stats["tenants"]["per_tenant"]["eu"]["resident"]
+        local = stats["matrices"]["local"]
+    assert eu_only["resident_bytes"] > 0
+    assert (local["cached"], local["resident_bytes"]) == (
+        us_only["cached"], us_only["resident_bytes"])

@@ -5,10 +5,14 @@
   before and after a refresh;
 * the backend names — ``executor="process"`` (or any unknown name) is
   rejected at every entry point, the CLI included, naming both backends;
+* the thread backend's pool — sized by the call's fan-out, gone when the
+  call returns, and inherited by a registry's tenants;
 * epsilon-aware result reuse (``eps_hits``).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
@@ -148,6 +152,84 @@ class TestExecutorNames:
                       "--executor", "process"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'process'" in capsys.readouterr().err
+
+
+# -- the thread backend's pool ------------------------------------------------
+
+def _pool_threads() -> list[str]:
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("repro-query")]
+
+
+class TestThreadBackend:
+    QUERIES = [Query(name, k) for name in ("remote-edge", "remote-clique")
+               for k in (3, 4, 6)]
+
+    @pytest.mark.parametrize("entry", ["query_batch", "query_concurrent"])
+    def test_pool_never_exceeds_the_calls_fan_out(self, index, monkeypatch,
+                                                  entry):
+        # query_batch fans out to the service's executor_workers,
+        # query_concurrent to its own max_workers: a fan-out of one runs
+        # every query on one pool thread.
+        names = set()
+        original = DiversityService._answer_one
+
+        def recorded(*args, **kwargs):
+            names.add(threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(DiversityService, "_answer_one", recorded)
+        if entry == "query_batch":
+            results = DiversityService(index, executor="thread",
+                                       executor_workers=1,
+                                       ).query_batch(self.QUERIES)
+        else:
+            results = DiversityService(index, executor="thread",
+                                       executor_workers=4,
+                                       ).query_concurrent(self.QUERIES,
+                                                          max_workers=1)
+        assert len(names) == 1
+        assert next(iter(names)).startswith("repro-query")
+        serial = DiversityService(index).query_batch(self.QUERIES)
+        assert _answers(results) == _answers(serial)
+
+    def test_pool_lives_for_one_call(self, index):
+        service = DiversityService(index, executor="thread",
+                                   executor_workers=2)
+        service.query_batch(self.QUERIES)
+        assert _pool_threads() == []
+        service.query_concurrent(self.QUERIES, max_workers=2)
+        assert _pool_threads() == []
+        service.close()
+        assert service.query("remote-edge", 4).cached  # still usable
+
+    @pytest.mark.parametrize("workers", [0, True, 2.0])
+    def test_rejects_a_bad_fan_out(self, index, workers):
+        with pytest.raises(ValidationError, match="executor_workers"):
+            DiversityService(index, executor_workers=workers)
+        with pytest.raises(ValidationError, match="executor_workers"):
+            IndexRegistry(executor_workers=workers)
+
+    def test_stats_report_the_default_backend(self, index):
+        service = DiversityService(index, executor="thread",
+                                   executor_workers=3)
+        service.query_batch(self.QUERIES)
+        stats = service.stats()
+        assert stats["executors"] == {"default": "thread", "workers": 3}
+        assert stats["counters"]["batches_answered"] == 1
+        assert stats["counters"]["concurrent_batches"] == 0
+
+    def test_registry_tenants_inherit_the_backend(self, index):
+        with IndexRegistry(executor="thread",
+                           executor_workers=3) as registry:
+            registry.register("eu", index)
+            expected = {"default": "thread", "workers": 3}
+            assert registry.stats()["executors"] == expected
+            with registry.attach("eu") as service:
+                assert service.stats()["executors"] == expected
+            results = registry.query_batch(self.QUERIES, "eu")
+        serial = DiversityService(index).query_batch(self.QUERIES)
+        assert _answers(results) == _answers(serial)
 
 
 # -- epsilon-aware result reuse -----------------------------------------------

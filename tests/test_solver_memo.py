@@ -9,6 +9,10 @@ service tests count the matchings each backend actually runs.
 
 from __future__ import annotations
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -113,6 +117,38 @@ class TestMemoEqualsFreshSolve:
             assert np.array_equal(solve_on_matrix(dist, 8, objective,
                                                   memo=memo),
                                   solve_on_matrix(dist, 8, objective))
+
+    def test_fill_keeps_the_longer_prefix(self):
+        # A fill that comes back shorter than the held prefix (it could
+        # not reach the asked count) never shrinks it: both come from the
+        # same greedy run, so the longer one contains the shorter.
+        memo = SolverMemo(8)
+        memo.order_for(3, 10, lambda m: [4, 5, 6][:m])
+        assert list(memo.order_for(5, 10, lambda m: [4])) == [4, 5, 6]
+        assert memo.order == (4, 5, 6)
+        memo.matching_for(4, 10, lambda p: [(0, 1), (2, 3)][:p])
+        assert memo.matching_for(6, 10, lambda p: [(0, 1)]) == ((0, 1),
+                                                                (2, 3))
+        assert memo.pairs == ((0, 1), (2, 3))
+
+    def test_concurrent_fills_run_once(self):
+        memo = SolverMemo(6)
+        fills = []
+        start = threading.Barrier(4)
+
+        def fill(m):
+            fills.append(m)
+            time.sleep(0.05)  # the other threads arrive while this fills
+            return list(range(m))
+
+        def take(k):
+            start.wait()
+            return list(memo.order_for(k, 10, fill))
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(take, [2, 3, 4, 6]))
+        assert fills == [6]
+        assert got == [list(range(k)) for k in (2, 3, 4, 6)]
 
 
 # -- the service shares one memo per rung and epoch ---------------------------
